@@ -23,7 +23,6 @@ from .planner import CyclePlan, cycle_report, max_packets, recharge_plan
 from .radiopower import (CalibrationPoint, SigmoidCoefficients,
                          current_from_tx_power, fit_sigmoid, system_power,
                          tx_power_from_current)
-from .units import dbm_to_watts, octets_to_bits, watts_to_dbm
 
 __version__ = "0.1.0"
 
@@ -34,12 +33,12 @@ __all__ = [
     "PacketTiming", "RfBudgetError", "RunConfig", "SigmoidCoefficients",
     "TraceParseError", "UnreachableVoltageError", "VoltageSample",
     "bit_energy_closed_form", "bit_energy_oracle", "burst_energy",
-    "charge_voltage", "current_from_tx_power", "cycle_report", "dbm_to_watts",
+    "charge_voltage", "current_from_tx_power", "cycle_report",
     "first_bit_energy", "fit_charge_model", "fit_r_known_voc", "fit_sigmoid",
     "interpacket_overhead", "load_calibration", "load_config",
     "load_ocv_table", "load_plan", "load_voltage_trace", "max_packets",
-    "octets_to_bits", "ocv_from_power", "packet_airtime", "prediction_error",
+    "ocv_from_power", "packet_airtime", "prediction_error",
     "protocol_overhead", "recharge_plan", "segment_energy", "sleep_energy",
     "stored_energy", "system_power", "time_to_voltage",
-    "tx_power_from_current", "wakeup_energy", "wakeup_time", "watts_to_dbm",
+    "tx_power_from_current", "wakeup_energy", "wakeup_time",
 ]

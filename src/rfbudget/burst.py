@@ -297,6 +297,19 @@ def protocol_overhead(layout: FrameLayout, msdu_octets: int,
     return _frame_cascade(drain, layout, msdu_octets, supply_current_ma, data_rate)
 
 
+def _supply_currents(plans: Sequence[PacketPlan], initial: EscState,
+                     profile: DeviceProfile, layout: FrameLayout) -> list[float]:
+    """Check a burst's inputs; the supply current (mA) of each packet."""
+    if not initial.voltage > 0:
+        raise ValueError(f"initial voltage must be > 0 V, got {initial.voltage}")
+    for k, plan in enumerate(plans, 1):
+        if plan.msdu_octets > layout.max_msdu_octets:
+            raise ValueError(
+                f"packet {k}: msdu_octets {plan.msdu_octets} exceeds the "
+                f"layout maximum {layout.max_msdu_octets}")
+    return [current_from_tx_power(profile, plan.tx_power) for plan in plans]
+
+
 def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
                  profile: DeviceProfile, layout: FrameLayout, *,
                  include_final_gap: bool = True,
@@ -318,21 +331,14 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
 
     A BrownoutWarning is emitted (once) if the voltage dips below
     ``brownout_v``; pass None to disable. ``record_samples=False`` skips
-    the per-bit cumulative arrays, which makes repeated feasibility
-    simulations cheaper.
+    the per-bit cumulative arrays, which makes a simulation that only
+    needs the totals cheaper.
     """
     plans = tuple(plans)
     n = len(plans)
     if n == 0:
         raise ValueError("plan must contain >= 1 packet")
-    if not initial.voltage > 0:
-        raise ValueError(f"initial voltage must be > 0 V, got {initial.voltage}")
-    for k, plan in enumerate(plans, 1):
-        if plan.msdu_octets > layout.max_msdu_octets:
-            raise ValueError(
-                f"packet {k}: msdu_octets {plan.msdu_octets} exceeds the "
-                f"layout maximum {layout.max_msdu_octets}")
-    currents = [current_from_tx_power(profile, plan.tx_power) for plan in plans]
+    currents = _supply_currents(plans, initial, profile, layout)
 
     drain = _Drain(initial.voltage, initial.capacitance)
     cum_joules: list[float] | None = [] if record_samples else None
@@ -384,3 +390,52 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
         sample_cumulative_uj=cum_uj,
         total_energy_uj=drain.total_joules * 1e6,
         final_state=EscState(initial.capacitance, drain.voltage))
+
+
+def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
+                profile: DeviceProfile, layout: FrameLayout, cap_n: int, *,
+                include_final_gap: bool = True) -> int:
+    """Largest N <= cap_n such that every burst of 1..N identical packets
+    ends at or above ``v_cutoff``; 0 when even one packet would break it.
+
+    One forward pass makes the withdrawals of ``burst_energy`` with the
+    same floats. It tests the burst ending at each packet by withdrawing
+    the sleep ramp, checking the cutoff and rewinding. Without the final
+    gap it drains the candidate packet from the pre-gap state and rewinds
+    that too. It stops at the first burst that fails or depletes the store.
+    """
+    if cap_n < 1:
+        raise ValueError(f"cap_n must be >= 1, got {cap_n}")
+    if v_cutoff < 0:
+        raise ValueError(f"v_cutoff must be >= 0 V, got {v_cutoff}")
+    if initial.voltage <= v_cutoff:
+        return 0
+    (current_ma,) = _supply_currents((template,), initial, profile, layout)
+    drain = _Drain(initial.voltage, initial.capacitance)
+
+    def frame(after_gap: bool) -> None:
+        if after_gap:
+            drain.withdraw(interpacket_overhead(profile, drain.voltage,
+                                                current_ma) * 1e-6)
+        _frame_cascade(drain, layout, template.msdu_octets, current_ma,
+                       template.data_rate)
+
+    n = 0
+    try:
+        drain.withdraw(wakeup_energy(profile, drain.voltage,
+                                     template.msdu_octets) * 1e-6)
+        while n < cap_n:
+            pre_gap = drain.total_joules
+            frame(n > 0 and include_final_gap)
+            pre_sleep = drain.total_joules
+            drain.withdraw(sleep_energy(profile, drain.voltage, current_ma) * 1e-6)
+            if drain.voltage < v_cutoff:
+                break
+            n += 1
+            drain.total_joules = pre_sleep
+            if not include_final_gap and 1 < n < cap_n:
+                drain.total_joules = pre_gap
+                frame(True)
+    except EscDepletedError:
+        pass
+    return n

@@ -11,14 +11,14 @@ usage errors.
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .burst import burst_energy
 from .device import DeviceProfile, EscState, PacketPlan
 from .errors import RfBudgetError
 from .fileio import (RunConfig, load_calibration, load_config,
                      load_ocv_table, load_plan, load_voltage_trace,
-                     render_record_csv, render_record_json, with_overrides,
-                     write_table)
+                     render_record_csv, render_record_json, write_table)
 from .harvest import (ChargeModel, charge_voltage, fit_charge_model,
                       fit_r_known_voc, prediction_error)
 from .packet import (interpacket_overhead, packet_airtime, sleep_energy,
@@ -38,10 +38,22 @@ def _resolve_current(args, config: RunConfig) -> float:
     return current_from_tx_power(config.profile, args.tx_power_dbm)
 
 
-def _require(value, flag: str, config_key: str):
-    if value is None:
-        raise ValueError(f"missing {flag} (or {config_key} in the config file)")
-    return value
+def _store_from_args(args, config: RunConfig) -> tuple[RunConfig, EscState]:
+    """Overlay the store and burst flags on ``config`` (flags win over
+    config file values); the resolved config and the initial store."""
+    flags = {"capacitance_f": args.capacitance_f,
+             "initial_voltage_v": args.initial_v,
+             "brownout_v": args.brownout_v,
+             "include_final_gap": False if args.no_final_gap_overhead else None}
+    config = replace(config, **{key: value for key, value in flags.items()
+                                if value is not None})
+    for value, flag, key in (
+            (config.capacitance_f, "--capacitance-f", "capacitance_f"),
+            (config.initial_voltage_v, "--initial-v", "initial_voltage_v")):
+        if value is None:
+            raise ValueError(f"missing {flag} (or esc.{key} in the config file)")
+    return config, EscState(capacitance=config.capacitance_f,
+                            voltage=config.initial_voltage_v)
 
 
 def cmd_fit_charge(args, config: RunConfig) -> dict:
@@ -136,19 +148,10 @@ def cmd_packet_cost(args, config: RunConfig) -> dict:
 
 
 def cmd_simulate_burst(args, config: RunConfig) -> dict:
-    config = with_overrides(config, capacitance_f=args.capacitance_f,
-                            initial_voltage_v=args.initial_v,
-                            brownout_v=args.brownout_v,
-                            include_final_gap=(False if args.no_final_gap_overhead
-                                               else None))
     plans = load_plan(args.plan)
     if not plans:
         raise ValueError("plan must contain >= 1 packet")
-    capacitance = _require(config.capacitance_f, "--capacitance-f",
-                           "esc.capacitance_f")
-    v_init = _require(config.initial_voltage_v, "--initial-v",
-                      "esc.initial_voltage_v")
-    initial = EscState(capacitance=capacitance, voltage=v_init)
+    config, initial = _store_from_args(args, config)
     report = burst_energy(plans, initial, config.profile, config.layout,
                           include_final_gap=config.include_final_gap,
                           brownout_v=config.brownout_v)
@@ -173,8 +176,8 @@ def cmd_simulate_burst(args, config: RunConfig) -> dict:
         write_table(args.samples_csv, ("packet", "bit", "e_cum_uj"), rows)
     return {
         "n_packets": len(report.packets),
-        "capacitance_f": capacitance,
-        "v_init_v": v_init,
+        "capacitance_f": initial.capacitance,
+        "v_init_v": initial.voltage,
         "v_final_v": report.final_state.voltage,
         "e_total_uj": report.total_energy_uj,
         "e_wake_uj": sum(p.wake_energy_uj for p in report.packets),
@@ -186,17 +189,8 @@ def cmd_simulate_burst(args, config: RunConfig) -> dict:
 
 
 def cmd_plan_cycle(args, config: RunConfig) -> dict:
-    config = with_overrides(config, capacitance_f=args.capacitance_f,
-                            initial_voltage_v=args.initial_v,
-                            brownout_v=args.brownout_v,
-                            include_final_gap=(False if args.no_final_gap_overhead
-                                               else None))
-    capacitance = _require(config.capacitance_f, "--capacitance-f",
-                           "esc.capacitance_f")
-    v_init = _require(config.initial_voltage_v, "--initial-v",
-                      "esc.initial_voltage_v")
-    model = _charge_model_from_args(args, capacitance)
-    initial = EscState(capacitance=capacitance, voltage=v_init)
+    config, initial = _store_from_args(args, config)
+    model = _charge_model_from_args(args, initial.capacitance)
     template = PacketPlan(msdu_octets=args.msdu_octets,
                           tx_power=args.tx_power_dbm,
                           data_rate=args.data_rate_bps)
@@ -205,12 +199,12 @@ def cmd_plan_cycle(args, config: RunConfig) -> dict:
                         include_final_gap=config.include_final_gap,
                         brownout_v=config.brownout_v)
     v_final = (plan.burst.final_state.voltage if plan.burst is not None
-               else v_init)
+               else initial.voltage)
     e_total = plan.burst.total_energy_uj if plan.burst is not None else 0.0
     return {
         "n_packets": plan.n_packets,
-        "capacitance_f": capacitance,
-        "v_init_v": v_init,
+        "capacitance_f": initial.capacitance,
+        "v_init_v": initial.voltage,
         "cutoff_v": args.cutoff_v,
         "v_final_v": v_final,
         "e_total_uj": e_total,

@@ -15,7 +15,7 @@ output.
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -161,14 +161,33 @@ class RunConfig:
     include_final_gap: bool
 
 
+def _number(what: str, key: str, value):
+    """``value`` if it is a JSON number (not a boolean, string or null)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} config key {key!r} must be a number, "
+                         f"got {value!r}")
+    return value
+
+
 def _apply_keys(section: dict, mapping: dict, what: str) -> dict:
     kwargs = {}
     for key, value in section.items():
         if key not in mapping:
             raise ValueError(f"unknown {what} config key {key!r}; "
                              f"expected one of {sorted(mapping)}")
-        kwargs[mapping[key]] = value
+        kwargs[mapping[key]] = _number(what, key, value)
     return kwargs
+
+
+def _ocv_table(section: dict) -> OcvTable:
+    if (set(section) != set(OCV_HEADER)
+            or not all(isinstance(section[key], list) for key in OCV_HEADER)
+            or len(section["p_dbm"]) != len(section["v_oc_v"])):
+        raise ValueError("config ocv_table must give exactly p_dbm and "
+                         "v_oc_v, as lists of equal length")
+    p_dbm, v_oc_v = ([_number("ocv_table", key, x) for x in section[key]]
+                     for key in OCV_HEADER)
+    return OcvTable(zip(p_dbm, v_oc_v))
 
 
 def default_config_text() -> str:
@@ -178,14 +197,23 @@ def default_config_text() -> str:
 
 def load_config(path=None) -> RunConfig:
     """Build a RunConfig from the packaged defaults, optionally overlaid
-    with a user JSON file of the same shape."""
+    with a user JSON file of the same shape. A user ``ocv_table`` replaces
+    the default table whole; the other sections overlay key by key."""
     raw = json.loads(default_config_text())
     if path is not None:
         with open(path) as handle:
             user = json.load(handle)
+        if not isinstance(user, dict):
+            raise ValueError(f"{path}: config must be a JSON object, "
+                             f"got {type(user).__name__}")
         for section in ("device", "frame", "ocv_table", "esc"):
             if section in user:
-                raw.setdefault(section, {}).update(user[section])
+                if not isinstance(user[section], dict):
+                    raise ValueError(
+                        f"{path}: config section {section!r} must be an "
+                        f"object, got {type(user[section]).__name__}")
+                raw[section] = (user[section] if section == "ocv_table"
+                                else {**raw.get(section, {}), **user[section]})
         for key in ("brownout_v", "include_final_gap"):
             if key in user:
                 raw[key] = user[key]
@@ -194,30 +222,13 @@ def load_config(path=None) -> RunConfig:
                                           "device"))
     layout = FrameLayout(**_apply_keys(raw.get("frame", {}), _FRAME_KEYS,
                                        "frame"))
-    table_raw = raw.get("ocv_table", {})
-    table = OcvTable(zip(table_raw["p_dbm"], table_raw["v_oc_v"]))
+    table = _ocv_table(raw["ocv_table"])
     esc = raw.get("esc", {})
     return RunConfig(profile=profile, layout=layout, ocv_table=table,
                      capacitance_f=esc.get("capacitance_f"),
                      initial_voltage_v=esc.get("initial_voltage_v"),
                      brownout_v=raw.get("brownout_v", 1.8),
                      include_final_gap=raw.get("include_final_gap", True))
-
-
-def with_overrides(config: RunConfig, *, capacitance_f=None,
-                   initial_voltage_v=None, brownout_v=None,
-                   include_final_gap=None) -> RunConfig:
-    """Command-line flags win over config file values."""
-    updates = {}
-    if capacitance_f is not None:
-        updates["capacitance_f"] = capacitance_f
-    if initial_voltage_v is not None:
-        updates["initial_voltage_v"] = initial_voltage_v
-    if brownout_v is not None:
-        updates["brownout_v"] = brownout_v
-    if include_final_gap is not None:
-        updates["include_final_gap"] = include_final_gap
-    return replace(config, **updates) if updates else config
 
 
 def fmt6(value) -> str:

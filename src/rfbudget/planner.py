@@ -8,9 +8,9 @@ not a throughput-optimal scheduler.
 
 from dataclasses import dataclass
 
-from .burst import BurstReport, burst_energy, DEFAULT_BROWNOUT_V
+from .burst import BurstReport, burst_energy, DEFAULT_BROWNOUT_V, max_packets
 from .device import DeviceProfile, EscState, FrameLayout, PacketPlan
-from .errors import EscDepletedError, UnreachableVoltageError
+from .errors import UnreachableVoltageError
 from .harvest import ChargeModel, time_to_voltage
 from .packet import packet_airtime, wakeup_time
 
@@ -28,43 +28,6 @@ class CyclePlan:
     recharge_time: float
     duty_cycle: float
     active_time: float
-
-
-def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
-                profile: DeviceProfile, layout: FrameLayout, cap_n: int, *,
-                include_final_gap: bool = True) -> int:
-    """Largest N <= cap_n identical packets whose burst ends at or above
-    ``v_cutoff``; 0 when even the wake-up would break the cutoff.
-
-    The final burst voltage decreases with N, so a binary search suffices.
-    Depletion mid-burst counts as infeasible rather than an error.
-    """
-    if cap_n < 1:
-        raise ValueError(f"cap_n must be >= 1, got {cap_n}")
-    if v_cutoff < 0:
-        raise ValueError(f"v_cutoff must be >= 0 V, got {v_cutoff}")
-    if initial.voltage <= v_cutoff:
-        return 0
-
-    def feasible(n: int) -> bool:
-        try:
-            report = burst_energy([template] * n, initial, profile, layout,
-                                  include_final_gap=include_final_gap,
-                                  brownout_v=None, record_samples=False)
-        except EscDepletedError:
-            return False
-        return report.final_state.voltage >= v_cutoff
-
-    if feasible(cap_n):
-        return cap_n
-    lo, hi = 0, cap_n  # feasible(lo) holds, feasible(hi) does not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def recharge_plan(model: ChargeModel, v_low: float, v_high: float) -> float:

@@ -367,3 +367,43 @@ def test_cli_model_error_exit_status(tmp_path, capsys):
         "fit-charge", "--trace", str(trace), "--capacitance-f", "0.0022"])
     assert status == 1
     assert "degenerate" in err
+
+
+def write_config(tmp_path, body):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(body))
+    return str(path)
+
+
+def test_cli_config_ocv_table_needs_both_columns(tmp_path, capsys):
+    partial = write_config(tmp_path, {"ocv_table": {"p_dbm": [-10, -5, 0]}})
+    status, out, err = run_cli(capsys, ["ocv", "--config", partial,
+                                        "--p-dbm", "-5"])
+    assert (status, out) == (1, "")
+    assert err.startswith("error:") and "ocv_table" in err
+    # a complete user table replaces the default whole
+    table = write_config(tmp_path, {"ocv_table": {"p_dbm": [-10, 0],
+                                                  "v_oc_v": [1.0, 2.0]}})
+    status, out, err = run_cli(capsys, ["ocv", "--config", table,
+                                        "--p-dbm", "-5"])
+    assert status == 0, err
+    assert json.loads(out)["v_oc_v"] == 1.5
+
+
+@pytest.mark.parametrize("body", [[1, 2], {"device": []}])
+def test_cli_config_rejects_non_object(tmp_path, capsys, body):
+    status, out, err = run_cli(capsys, ["ocv", "--config",
+                                        write_config(tmp_path, body),
+                                        "--p-dbm", "-5"])
+    assert (status, out) == (1, "")
+    assert err.startswith("error:") and "object" in err
+
+
+@pytest.mark.parametrize("value", ["abc", True, None])
+def test_cli_config_rejects_non_numeric_device_value(tmp_path, capsys, value):
+    config = write_config(tmp_path,
+                          {"device": {"wake_slope_ms_per_octet": value}})
+    status, out, err = run_cli(capsys, ["ocv", "--config", config,
+                                        "--p-dbm", "-5"])
+    assert (status, out) == (1, "")
+    assert err.startswith("error:") and "wake_slope_ms_per_octet" in err

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rfbudget import (ChargeModel, EscDepletedError, EscState, PacketPlan,
-                      UnreachableVoltageError, burst_energy, cycle_report,
-                      max_packets, packet_airtime, recharge_plan,
-                      time_to_voltage, wakeup_time)
-from conftest import REF_CAP_F, REF_RATE_BPS, REF_TX_DBM, REF_V0
+import rfbudget.burst
+import rfbudget.planner
+from rfbudget import (ChargeModel, DeviceProfile, EscDepletedError, EscState,
+                      FrameLayout, PacketPlan, UnreachableVoltageError,
+                      burst_energy, cycle_report, max_packets, packet_airtime,
+                      recharge_plan, time_to_voltage, wakeup_time)
+from conftest import (ALPHA1, ALPHA2, ALPHA3, ALPHA4, REF_CAP_F, REF_RATE_BPS,
+                      REF_TX_DBM, REF_V0)
 
 CHARGER = ChargeModel(v_oc=2.6, r_eq=170.6, capacitance=2.2e-3)
 
@@ -14,11 +19,13 @@ def template(msdu=106, rate=REF_RATE_BPS, tx=REF_TX_DBM):
     return PacketPlan(msdu_octets=msdu, tx_power=tx, data_rate=rate)
 
 
-def linear_scan_max_packets(initial, v_cutoff, plan, profile, layout, cap_n):
+def linear_scan_max_packets(initial, v_cutoff, plan, profile, layout, cap_n,
+                            include_final_gap=True):
     best = 0
     for n in range(1, cap_n + 1):
         try:
             report = burst_energy([plan] * n, initial, profile, layout,
+                                  include_final_gap=include_final_gap,
                                   brownout_v=None, record_samples=False)
         except EscDepletedError:
             break
@@ -50,19 +57,82 @@ def test_max_packets_reference_scenario(sig_profile, layout):
 
 
 def test_max_packets_randomized_binary_equals_linear(sig_profile, layout):
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        cap = float(rng.uniform(0.1e-3, 5e-3))
-        v0 = float(rng.uniform(2.2, 4.0))
-        cutoff = float(rng.uniform(1.0, v0 - 0.2))
-        plan = template(msdu=int(rng.integers(2, 60)),
-                        rate=float(rng.choice([250e3, 1e6, 2e6])),
-                        tx=float(rng.uniform(-10.0, 3.8)))
-        initial = EscState(capacitance=cap, voltage=v0)
-        got = max_packets(initial, cutoff, plan, sig_profile, layout, 8)
-        want = linear_scan_max_packets(initial, cutoff, plan, sig_profile,
-                                       layout, 8)
-        assert got == want
+    for final_gap in (True, False):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            cap = float(rng.uniform(0.1e-3, 5e-3))
+            v0 = float(rng.uniform(2.2, 4.0))
+            cutoff = float(rng.uniform(1.0, v0 - 0.2))
+            plan = template(msdu=int(rng.integers(2, 60)),
+                            rate=float(rng.choice([250e3, 1e6, 2e6])),
+                            tx=float(rng.uniform(-10.0, 3.8)))
+            initial = EscState(capacitance=cap, voltage=v0)
+            got = max_packets(initial, cutoff, plan, sig_profile, layout, 8,
+                              include_final_gap=final_gap)
+            want = linear_scan_max_packets(initial, cutoff, plan, sig_profile,
+                                           layout, 8, final_gap)
+            assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(cap=st.floats(min_value=1e-5, max_value=5e-3),
+       v0=st.floats(min_value=0.5, max_value=4.0),
+       cutoff_frac=st.floats(min_value=0.0, max_value=1.0),
+       msdu=st.integers(min_value=0, max_value=106),
+       rate=st.sampled_from([250e3, 1e6, 2e6]),
+       final_gap=st.booleans())
+def test_max_packets_equals_linear_scan_property(cap, v0, cutoff_frac, msdu,
+                                                  rate, final_gap):
+    profile = DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
+                            alpha4=ALPHA4)
+    initial = EscState(capacitance=cap, voltage=v0)
+    cutoff = cutoff_frac * v0
+    plan = template(msdu=msdu, rate=rate)
+    got = max_packets(initial, cutoff, plan, profile, FrameLayout(), 12,
+                      include_final_gap=final_gap)
+    assert got == linear_scan_max_packets(initial, cutoff, plan, profile,
+                                          FrameLayout(), 12, final_gap)
+
+
+def test_max_packets_depletion_in_the_skipped_gap(layout):
+    # Without the final gap the 2-packet burst fits, but the store depletes
+    # in the gap after packet 1 that every longer burst must pay for.
+    profile = DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
+                            alpha4=ALPHA4, txrx_on_time=80.0)
+    initial = EscState(capacitance=1e-4, voltage=2.5)
+    with pytest.raises(EscDepletedError) as info:
+        burst_energy([template()] * 2, initial, profile, layout,
+                     brownout_v=None, record_samples=False)
+    assert (info.value.packet, info.value.segment) == (1, "inter-packet")
+    got = max_packets(initial, 0.0, template(), profile, layout, 8,
+                      include_final_gap=False)
+    assert got == 2
+    assert got == linear_scan_max_packets(initial, 0.0, template(), profile,
+                                          layout, 8, include_final_gap=False)
+
+
+def test_planner_simulates_each_question_once(sig_profile, layout, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return burst_energy(*args, **kwargs)
+
+    monkeypatch.setattr(rfbudget.planner, "burst_energy", counted)
+    monkeypatch.setattr(rfbudget.burst, "burst_energy", counted)
+    model = ChargeModel(v_oc=3.0, r_eq=800.0, capacitance=2e-3)
+    initial = EscState(capacitance=2e-3, voltage=2.5)
+    for final_gap in (True, False):
+        calls.clear()
+        n = max_packets(initial, 1.8, template(), sig_profile, layout, 300,
+                        include_final_gap=final_gap)
+        assert 0 < n < 300
+        assert calls == []
+        plan = cycle_report(model, initial, 1.8, template(), sig_profile,
+                            layout, 300, include_final_gap=final_gap,
+                            brownout_v=None)
+        assert plan.n_packets == n
+        assert len(calls) == 1
 
 
 def test_final_voltage_decreases_with_packet_count(sig_profile, layout):
