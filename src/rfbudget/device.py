@@ -7,7 +7,26 @@ formulas elsewhere in the package multiply (V, mA, ms) directly, which
 yields microjoules.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
+
+
+def finite(name: str, value):
+    """``value`` if it is a finite real number; otherwise a ValueError that
+    names ``name``. Booleans, strings and None are not numbers here."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _check_octets(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a non-negative integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -40,10 +59,13 @@ class DeviceProfile:
         for name in ("wake_slope", "wake_intercept", "wake_current",
                      "sleep_time", "txrx_off_current", "txrx_on_time",
                      "txrx_off_time", "txrx_on_current"):
-            if getattr(self, name) < 0:
+            if finite(name, getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         alphas = (self.alpha1, self.alpha2, self.alpha3, self.alpha4)
         provided = [a is not None for a in alphas]
+        for i, a in enumerate(alphas, start=1):
+            if a is not None:
+                finite(f"alpha{i}", a)
         if any(provided) and not all(provided):
             raise ValueError("sigmoid coefficients alpha1..alpha4 must be "
                              "provided together")
@@ -82,9 +104,8 @@ class FrameLayout:
     def __post_init__(self):
         for name in ("shr_octets", "phr_octets", "mhr_octets", "fcs_octets",
                      "max_msdu_octets"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.preamble_rate > 0:
+            _check_octets(name, getattr(self, name))
+        if not finite("preamble_rate", self.preamble_rate) > 0:
             raise ValueError(f"preamble_rate must be > 0, got {self.preamble_rate}")
 
     @property
@@ -110,9 +131,9 @@ class EscState:
     voltage: float
 
     def __post_init__(self):
-        if not self.capacitance > 0:
+        if not finite("capacitance", self.capacitance) > 0:
             raise ValueError(f"capacitance must be > 0 F, got {self.capacitance}")
-        if self.voltage < 0:
+        if finite("voltage", self.voltage) < 0:
             raise ValueError(f"voltage must be >= 0 V, got {self.voltage}")
 
 
@@ -125,7 +146,7 @@ class PacketPlan:
     data_rate: float   # bit/s
 
     def __post_init__(self):
-        if self.msdu_octets < 0:
-            raise ValueError(f"msdu_octets must be >= 0, got {self.msdu_octets}")
-        if not self.data_rate > 0:
+        _check_octets("msdu_octets", self.msdu_octets)
+        finite("tx_power", self.tx_power)
+        if not finite("data_rate", self.data_rate) > 0:
             raise ValueError(f"data_rate must be > 0 bit/s, got {self.data_rate}")

@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .device import DeviceProfile, FrameLayout, PacketPlan
+from .device import DeviceProfile, FrameLayout, PacketPlan, finite
 from .errors import TraceParseError
 from .harvest import OcvTable, VoltageSample
 from .radiopower import CalibrationPoint
@@ -157,16 +157,18 @@ class RunConfig:
     ocv_table: OcvTable
     capacitance_f: float | None
     initial_voltage_v: float | None
-    brownout_v: float
+    brownout_v: float | None
     include_final_gap: bool
 
-
-def _number(what: str, key: str, value):
-    """``value`` if it is a JSON number (not a boolean, string or null)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} config key {key!r} must be a number, "
-                         f"got {value!r}")
-    return value
+    def __post_init__(self):
+        # None leaves the store unset (flags must give it) or, for
+        # brownout_v, disables the brown-out warning.
+        for key in ("capacitance_f", "initial_voltage_v", "brownout_v"):
+            if getattr(self, key) is not None:
+                finite(key, getattr(self, key))
+        if not isinstance(self.include_final_gap, bool):
+            raise ValueError("include_final_gap must be true or false, got "
+                             f"{self.include_final_gap!r}")
 
 
 def _apply_keys(section: dict, mapping: dict, what: str) -> dict:
@@ -175,7 +177,7 @@ def _apply_keys(section: dict, mapping: dict, what: str) -> dict:
         if key not in mapping:
             raise ValueError(f"unknown {what} config key {key!r}; "
                              f"expected one of {sorted(mapping)}")
-        kwargs[mapping[key]] = _number(what, key, value)
+        kwargs[mapping[key]] = finite(f"{what} config key {key!r}", value)
     return kwargs
 
 
@@ -185,8 +187,8 @@ def _ocv_table(section: dict) -> OcvTable:
             or len(section["p_dbm"]) != len(section["v_oc_v"])):
         raise ValueError("config ocv_table must give exactly p_dbm and "
                          "v_oc_v, as lists of equal length")
-    p_dbm, v_oc_v = ([_number("ocv_table", key, x) for x in section[key]]
-                     for key in OCV_HEADER)
+    p_dbm, v_oc_v = ([finite(f"ocv_table config key {key!r}", x)
+                      for x in section[key]] for key in OCV_HEADER)
     return OcvTable(zip(p_dbm, v_oc_v))
 
 

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .device import EscState
+from .device import EscState, finite
 from .errors import FitError, UnreachableVoltageError
 
 # Sanity ceiling for ESC voltages; small harvesters stay far below this.
@@ -36,11 +35,11 @@ class ChargeModel:
     capacitance: float
 
     def __post_init__(self):
-        if not self.v_oc > 0:
+        if not finite("v_oc", self.v_oc) > 0:
             raise ValueError(f"v_oc must be > 0 V, got {self.v_oc}")
-        if not self.r_eq > 0:
+        if not finite("r_eq", self.r_eq) > 0:
             raise ValueError(f"r_eq must be > 0 ohm, got {self.r_eq}")
-        if not self.capacitance > 0:
+        if not finite("capacitance", self.capacitance) > 0:
             raise ValueError(f"capacitance must be > 0 F, got {self.capacitance}")
 
     @property
@@ -57,9 +56,9 @@ class VoltageSample:
     v: float
 
     def __post_init__(self):
-        if self.t < 0:
+        if finite("sample time", self.t) < 0:
             raise ValueError(f"sample time must be >= 0 s, got {self.t}")
-        if self.v < 0:
+        if finite("sample voltage", self.v) < 0:
             raise ValueError(f"sample voltage must be >= 0 V, got {self.v}")
 
 
@@ -184,6 +183,10 @@ def fit_charge_model(samples: Sequence[VoltageSample], capacitance: float) -> Ch
         v_oc, r = params
         return v_oc * -np.expm1(-ts / (r * capacitance)) - vs
 
+    # Loaded here, not at module import: scipy.optimize is most of the
+    # package's import time, and only the fits use it.
+    from scipy.optimize import least_squares
+
     result = least_squares(residual, x0=[v_oc0, r0],
                            bounds=([1e-12, 1e-12], [np.inf, np.inf]))
     if not result.success:
@@ -224,6 +227,8 @@ def fit_r_known_voc(samples: Sequence[VoltageSample], capacitance: float,
     def residual(params):
         (r,) = params
         return v_oc * -np.expm1(-ts / (r * capacitance)) - vs
+
+    from scipy.optimize import least_squares
 
     result = least_squares(residual, x0=[r0], bounds=([1e-12], [np.inf]))
     if not result.success:

@@ -11,7 +11,7 @@ interval; the voltage droop within such a short interval is neglected.
 
 from dataclasses import dataclass
 
-from .device import DeviceProfile, FrameLayout
+from .device import DeviceProfile, FrameLayout, finite
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def packet_airtime(layout: FrameLayout, msdu_octets: int, data_rate: float) -> P
     """
     if msdu_octets < 0:
         raise ValueError(f"msdu_octets must be >= 0, got {msdu_octets}")
-    if not data_rate > 0:
+    if not finite("data_rate", data_rate) > 0:
         raise ValueError(f"data_rate must be > 0 bit/s, got {data_rate}")
     preamble_ms = layout.preamble_bits / layout.preamble_rate * 1e3
     psdu_bits = 8 * (layout.overhead_psdu_octets + msdu_octets)

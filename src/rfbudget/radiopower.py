@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .device import DeviceProfile
+from .device import DeviceProfile, finite
 from .errors import FitError
 
 # exp() overflows doubles near 710; beyond this the sigmoid term is ~0 anyway
@@ -34,9 +33,10 @@ class CalibrationPoint:
     tx_power: float
 
     def __post_init__(self):
-        if not self.supply_current > 0:
+        if not finite("supply_current", self.supply_current) > 0:
             raise ValueError(
                 f"supply_current must be > 0 mA, got {self.supply_current}")
+        finite("tx_power", self.tx_power)
 
 
 class SigmoidCoefficients(NamedTuple):
@@ -121,6 +121,10 @@ def fit_sigmoid(points: Sequence[CalibrationPoint], *,
         a1, a2, a3, a4 = params
         x = np.clip(a3 * (cs - a4), -_EXP_CLIP, _EXP_CLIP)
         return a1 - a2 / (np.exp(x) + 1.0) - ps
+
+    # Loaded here, not at module import: scipy.optimize is most of the
+    # package's import time, and only the fits use it.
+    from scipy.optimize import least_squares
 
     result = least_squares(residual, x0=[a1_0, a2_0, a3_0, a4_0],
                            bounds=([-np.inf, 1e-9, 1e-9, -np.inf],

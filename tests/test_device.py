@@ -79,3 +79,38 @@ def test_records_are_immutable(profile, layout):
         profile.wake_current = 9.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         layout.mhr_octets = 20
+
+
+@pytest.mark.parametrize("field", ["shr_octets", "phr_octets", "mhr_octets",
+                                   "fcs_octets", "max_msdu_octets"])
+@pytest.mark.parametrize("value", [5.5, 5.0, True])
+def test_frame_layout_rejects_non_integer_octets(field, value):
+    with pytest.raises(ValueError, match=field):
+        FrameLayout(**{field: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "2.5", None])
+def test_esc_state_rejects_non_finite_voltage(value):
+    with pytest.raises(ValueError, match="voltage"):
+        EscState(capacitance=1e-3, voltage=value)
+    with pytest.raises(ValueError, match="capacitance"):
+        EscState(capacitance=value, voltage=1.0)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"msdu_octets": 10.5}, "msdu_octets"),
+    ({"msdu_octets": True}, "msdu_octets"),
+    ({"tx_power": float("nan")}, "tx_power"),
+    ({"data_rate": float("inf")}, "data_rate"),
+])
+def test_packet_plan_rejects_non_finite_fields(kwargs, field):
+    base = {"msdu_octets": 10, "tx_power": 0.0, "data_rate": 250e3}
+    with pytest.raises(ValueError, match=field):
+        PacketPlan(**{**base, **kwargs})
+
+
+def test_device_profile_rejects_non_finite_constants():
+    with pytest.raises(ValueError, match="wake_current"):
+        DeviceProfile(wake_current=float("nan"))
+    with pytest.raises(ValueError, match="alpha1"):
+        DeviceProfile(alpha1=float("inf"), alpha2=40.0, alpha3=0.5, alpha4=10.0)

@@ -407,3 +407,90 @@ def test_cli_config_rejects_non_numeric_device_value(tmp_path, capsys, value):
                                         "--p-dbm", "-5"])
     assert (status, out) == (1, "")
     assert err.startswith("error:") and "wake_slope_ms_per_octet" in err
+
+
+STORE = ["--capacitance-f", "0.00012", "--initial-v", "2.5"]
+
+
+@pytest.mark.parametrize("body, key", [
+    ({"esc": {"capacitance_f": "abc", "initial_voltage_v": 2.5}},
+     "capacitance_f"),
+    ({"esc": {"capacitance_f": 0.00012, "initial_voltage_v": float("nan")}},
+     "initial_voltage_v"),
+    ({"brownout_v": "x"}, "brownout_v"),
+    ({"brownout_v": float("inf")}, "brownout_v"),
+    ({"include_final_gap": "no"}, "include_final_gap"),
+    ({"include_final_gap": 0}, "include_final_gap"),
+    ({"frame": {"shr_octets": 5.5}}, "shr_octets"),
+    ({"device": {"wake_current_ma": float("nan")}}, "wake_current_ma"),
+])
+def test_cli_config_rejects_bad_store_and_burst_values(tmp_path, capsys,
+                                                       body, key):
+    config = sigmoid_config(tmp_path, **body)
+    plan = plan_file(tmp_path, [(10, 0.0, 250000)])
+    status, out, err = run_cli(capsys, ["simulate-burst", "--config", config,
+                                        "--plan", plan])
+    assert (status, out) == (1, "")
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+
+
+def test_cli_config_null_brownout_disables_the_warning(tmp_path, capsys):
+    config = sigmoid_config(tmp_path, brownout_v=None)
+    plan = plan_file(tmp_path, [(106, 3.5, 250000)] * 2)
+    status, out, err = run_cli(capsys, ["simulate-burst", "--config", config,
+                                        "--plan", plan, *STORE])
+    assert (status, err) == (0, "")
+    assert json.loads(out)["v_final_v"] < 1.8
+
+
+@pytest.mark.parametrize("make_argv, key", [
+    (lambda tmp_path: ["packet-cost", "--msdu-octets", "10",
+                       "--data-rate-bps", "inf", "--vcc-v", "2.5",
+                       "--current-ma", "10"], "data_rate"),
+    (lambda tmp_path: ["simulate-burst", "--config", sigmoid_config(tmp_path),
+                       "--plan", plan_file(tmp_path, [(10, 0.0, 250000)]),
+                       "--capacitance-f", "0.00012", "--initial-v", "inf"],
+     "initial_voltage_v"),
+    (lambda tmp_path: ["simulate-burst", "--config", sigmoid_config(tmp_path),
+                       "--plan", plan_file(tmp_path, [(10, 0.0, 250000)]),
+                       *STORE, "--brownout-v", "nan"], "brownout_v"),
+    (lambda tmp_path: ["simulate-burst", "--config", sigmoid_config(tmp_path),
+                       "--plan", plan_file(tmp_path, [(10, "nan", 250000)]),
+                       *STORE], "tx_power"),
+    (lambda tmp_path: ["simulate-burst", "--config", sigmoid_config(tmp_path),
+                       "--plan", plan_file(tmp_path, [(10, 0.0, "inf")]),
+                       *STORE], "data_rate"),
+    (lambda tmp_path: ["fit-charge", "--capacitance-f", "0.0022", "--trace",
+                       trace_file(tmp_path, "0.0,0.0\n0.1,nan\n0.2,0.9\n")],
+     "sample voltage"),
+    (lambda tmp_path: ["fit-charge", "--capacitance-f", "0.0022", "--trace",
+                       trace_file(tmp_path, "0.0,0.0\ninf,0.5\n")],
+     "sample time"),
+    (lambda tmp_path: ["predict-charge", "--v-oc", "3", "--r-ohm", "inf",
+                       "--capacitance-f", "0.00012", "--horizon-s", "1"],
+     "r_eq"),
+    (lambda tmp_path: ["fit-power", "--calibration",
+                       calibration_file(tmp_path, "5.0,-20.0\n10.0,nan\n")],
+     "tx_power"),
+], ids=["rate-flag", "initial-v-flag", "brownout-flag", "plan-tx-power",
+        "plan-rate", "trace-voltage", "trace-time", "charge-model",
+        "calibration-power"])
+def test_cli_rejects_non_finite_flags_and_records(tmp_path, capsys,
+                                                  make_argv, key):
+    status, out, err = run_cli(capsys, make_argv(tmp_path))
+    assert (status, out) == (1, "")
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+
+
+def trace_file(tmp_path, rows):
+    path = tmp_path / "trace.csv"
+    path.write_text("t_s,v_v\n" + rows)
+    return str(path)
+
+
+def calibration_file(tmp_path, rows):
+    path = tmp_path / "cal.csv"
+    path.write_text("c_c_ma,p_t_dbm\n" + rows)
+    return str(path)
