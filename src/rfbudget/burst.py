@@ -27,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .device import DeviceProfile, EscState, FrameLayout, PacketPlan
+from .device import (DeviceProfile, EscState, FrameLayout, PacketPlan,
+                     count, finite)
 from .errors import BrownoutWarning, EscDepletedError
 from .packet import interpacket_overhead, sleep_energy, wakeup_energy
 from .radiopower import current_from_tx_power
@@ -113,10 +114,8 @@ class _Drain:
     __slots__ = ("capacitance", "_w0", "_c2", "total_joules")
 
     def __init__(self, voltage: float, capacitance: float):
-        if not voltage > 0:
-            raise ValueError(f"voltage must be > 0 V, got {voltage}")
-        if not capacitance > 0:
-            raise ValueError(f"capacitance must be > 0 F, got {capacitance}")
+        finite("voltage", voltage, gt=0)
+        finite("capacitance", capacitance, gt=0)
         self.capacitance = capacitance
         self._w0 = voltage * voltage
         self._c2 = 2.0 / capacitance
@@ -170,6 +169,9 @@ class _Drain:
 def first_bit_energy(v_start: float, supply_current_ma: float,
                      data_rate: float) -> float:
     """Energy (uJ) of the first bit sent at ``v_start`` volts."""
+    finite("v_start", v_start, ge=0)
+    finite("supply_current_ma", supply_current_ma, ge=0)
+    finite("data_rate", data_rate, gt=0)
     return v_start * supply_current_ma * 1e-3 / data_rate * 1e6
 
 
@@ -182,14 +184,11 @@ def bit_energy_closed_form(e_first_uj: float, bit_index: int,
     costs e_first - (i-1) * (I/r)^2 / C. Valid while the store is far from
     empty; raises EscDepletedError if the progression hits zero.
     """
-    if not e_first_uj > 0:
-        raise ValueError(f"first-bit energy must be > 0 uJ, got {e_first_uj}")
-    if bit_index < 1:
-        raise ValueError(f"bit_index is 1-based, got {bit_index}")
-    if not capacitance > 0:
-        raise ValueError(f"capacitance must be > 0 F, got {capacitance}")
-    if not data_rate > 0:
-        raise ValueError(f"data_rate must be > 0 bit/s, got {data_rate}")
+    finite("e_first_uj", e_first_uj, gt=0)
+    count("bit_index", bit_index, ge=1)
+    finite("capacitance", capacitance, gt=0)
+    finite("data_rate", data_rate, gt=0)
+    finite("supply_current_ma", supply_current_ma, ge=0)
     step_uj = (supply_current_ma * 1e-3 / data_rate) ** 2 / capacitance * 1e6
     e = e_first_uj - (bit_index - 1) * step_uj
     if e <= 0.0:
@@ -210,16 +209,11 @@ def bit_energy_oracle(v_start: float, supply_current_ma: float,
     check for both the closed form and the burst accounting; keep it
     simple and separate.
     """
-    if n_bits < 1:
-        raise ValueError(f"n_bits must be >= 1, got {n_bits}")
-    if not v_start > 0:
-        raise ValueError(f"v_start must be > 0 V, got {v_start}")
-    if not capacitance > 0:
-        raise ValueError(f"capacitance must be > 0 F, got {capacitance}")
-    if not data_rate > 0:
-        raise ValueError(f"data_rate must be > 0 bit/s, got {data_rate}")
-    if supply_current_ma < 0:
-        raise ValueError(f"supply current must be >= 0 mA, got {supply_current_ma}")
+    count("n_bits", n_bits, ge=1)
+    finite("v_start", v_start, gt=0)
+    finite("capacitance", capacitance, gt=0)
+    finite("data_rate", data_rate, gt=0)
+    finite("supply_current_ma", supply_current_ma, ge=0)
     charge = supply_current_ma * 1e-3 / data_rate
     energies = np.empty(n_bits)
     v = v_start
@@ -242,12 +236,9 @@ def segment_energy(v_start: float, supply_current_ma: float, data_rate: float,
     n*e_first - n(n-1)/(2C) * (I/r)^2 to within the progression's
     linearization error.
     """
-    if n_bits < 0:
-        raise ValueError(f"n_bits must be >= 0, got {n_bits}")
-    if not data_rate > 0:
-        raise ValueError(f"data_rate must be > 0 bit/s, got {data_rate}")
-    if supply_current_ma < 0:
-        raise ValueError(f"supply current must be >= 0 mA, got {supply_current_ma}")
+    count("n_bits", n_bits)
+    finite("data_rate", data_rate, gt=0)
+    finite("supply_current_ma", supply_current_ma, ge=0)
     drain = _Drain(v_start, capacitance)
     energy = drain.drain_bits(n_bits, supply_current_ma * 1e-3 / data_rate)
     return energy * 1e6, drain.voltage
@@ -286,22 +277,18 @@ def protocol_overhead(layout: FrameLayout, msdu_octets: int,
     segments (at ``data_rate``), threading the post-segment voltage of
     each into the next. A depletion error names the failing segment.
     """
-    if msdu_octets < 0 or msdu_octets > layout.max_msdu_octets:
-        raise ValueError(
-            f"msdu_octets must be in [0, {layout.max_msdu_octets}], got {msdu_octets}")
-    if not data_rate > 0:
-        raise ValueError(f"data_rate must be > 0 bit/s, got {data_rate}")
-    if supply_current_ma < 0:
-        raise ValueError(f"supply current must be >= 0 mA, got {supply_current_ma}")
+    if count("msdu_octets", msdu_octets) > layout.max_msdu_octets:
+        raise ValueError(f"msdu_octets must be <= {layout.max_msdu_octets}, "
+                         f"got {msdu_octets}")
+    finite("data_rate", data_rate, gt=0)
+    finite("supply_current_ma", supply_current_ma, ge=0)
     drain = _Drain(v_start, capacitance)
     return _frame_cascade(drain, layout, msdu_octets, supply_current_ma, data_rate)
 
 
-def _supply_currents(plans: Sequence[PacketPlan], initial: EscState,
-                     profile: DeviceProfile, layout: FrameLayout) -> list[float]:
+def _supply_currents(plans: Sequence[PacketPlan], profile: DeviceProfile,
+                     layout: FrameLayout) -> list[float]:
     """Check a burst's inputs; the supply current (mA) of each packet."""
-    if not initial.voltage > 0:
-        raise ValueError(f"initial voltage must be > 0 V, got {initial.voltage}")
     for k, plan in enumerate(plans, 1):
         if plan.msdu_octets > layout.max_msdu_octets:
             raise ValueError(
@@ -338,9 +325,10 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
     n = len(plans)
     if n == 0:
         raise ValueError("plan must contain >= 1 packet")
-    currents = _supply_currents(plans, initial, profile, layout)
-
+    if brownout_v is not None:
+        finite("brownout_v", brownout_v)
     drain = _Drain(initial.voltage, initial.capacitance)
+    currents = _supply_currents(plans, profile, layout)
     cum_joules: list[float] | None = [] if record_samples else None
     sample_packet: list[int] = []
     sample_bit: list[int] = []
@@ -404,13 +392,10 @@ def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
     gap it drains the candidate packet from the pre-gap state and rewinds
     that too. It stops at the first burst that fails or depletes the store.
     """
-    if cap_n < 1:
-        raise ValueError(f"cap_n must be >= 1, got {cap_n}")
-    if v_cutoff < 0:
-        raise ValueError(f"v_cutoff must be >= 0 V, got {v_cutoff}")
-    if initial.voltage <= v_cutoff:
+    count("cap_n", cap_n, ge=1)
+    if initial.voltage <= finite("v_cutoff", v_cutoff, ge=0):
         return 0
-    (current_ma,) = _supply_currents((template,), initial, profile, layout)
+    (current_ma,) = _supply_currents((template,), profile, layout)
     drain = _Drain(initial.voltage, initial.capacitance)
 
     def frame(after_gap: bool) -> None:

@@ -11,10 +11,11 @@ usage errors.
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 
 from .burst import burst_energy
-from .device import DeviceProfile, EscState, PacketPlan
+from .device import DeviceProfile, EscState, PacketPlan, count, finite
 from .errors import RfBudgetError
 from .fileio import (RunConfig, load_calibration, load_config,
                      load_ocv_table, load_plan, load_voltage_trace,
@@ -74,11 +75,8 @@ def cmd_fit_charge(args, config: RunConfig) -> dict:
 
 def cmd_predict_charge(args, config: RunConfig) -> dict:
     model = _charge_model_from_args(args, args.capacitance_f)
-    if not args.horizon_s > 0:
-        raise ValueError(f"--horizon-s must be > 0, got {args.horizon_s}")
-    n = args.points
-    if n < 2:
-        raise ValueError(f"--points must be >= 2, got {n}")
+    finite("--horizon-s", args.horizon_s, gt=0)
+    n = count("--points", args.points, ge=2)
     times = [args.horizon_s * i / (n - 1) for i in range(n)]
     curve = [(t, charge_voltage(model, t)) for t in times]
     if args.curve_csv:
@@ -149,8 +147,6 @@ def cmd_packet_cost(args, config: RunConfig) -> dict:
 
 def cmd_simulate_burst(args, config: RunConfig) -> dict:
     plans = load_plan(args.plan)
-    if not plans:
-        raise ValueError("plan must contain >= 1 packet")
     config, initial = _store_from_args(args, config)
     report = burst_energy(plans, initial, config.profile, config.layout,
                           include_final_gap=config.include_final_gap,
@@ -308,12 +304,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
-        record = args.func(args, config)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            config = load_config(args.config)
+            record = args.func(args, config)
     except (RfBudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,21 +12,30 @@ import numbers
 from dataclasses import dataclass
 
 
-def finite(name: str, value):
-    """``value`` if it is a finite real number; otherwise a ValueError that
-    names ``name``. Booleans, strings and None are not numbers here."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+def finite(name: str, value, *, gt=None, ge=None):
+    """``value`` if it is a finite real number, above ``gt`` and at least
+    ``ge`` when those are given; otherwise a ValueError that names
+    ``name``. Booleans, strings and None are not numbers here."""
+    if ((type(value) is not float and (isinstance(value, bool)
+                                       or not isinstance(value, numbers.Real)))
             or not math.isfinite(value)):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if gt is not None and not value > gt:
+        raise ValueError(f"{name} must be > {gt}, got {value}")
+    if ge is not None and not value >= ge:
+        raise ValueError(f"{name} must be >= {ge}, got {value}")
     return value
 
 
-def _check_octets(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a non-negative integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+def count(name: str, value, *, ge=0) -> int:
+    """``value`` if it is an integer (not a boolean) of at least ``ge``;
+    otherwise a ValueError that names ``name``."""
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+    if not value >= ge:
+        raise ValueError(f"{name} must be >= {ge}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -59,18 +68,15 @@ class DeviceProfile:
         for name in ("wake_slope", "wake_intercept", "wake_current",
                      "sleep_time", "txrx_off_current", "txrx_on_time",
                      "txrx_off_time", "txrx_on_current"):
-            if finite(name, getattr(self, name)) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            finite(name, getattr(self, name), ge=0)
         alphas = (self.alpha1, self.alpha2, self.alpha3, self.alpha4)
         provided = [a is not None for a in alphas]
         for i, a in enumerate(alphas, start=1):
             if a is not None:
-                finite(f"alpha{i}", a)
+                finite(f"alpha{i}", a, gt=0 if i == 3 else None)
         if any(provided) and not all(provided):
             raise ValueError("sigmoid coefficients alpha1..alpha4 must be "
                              "provided together")
-        if self.alpha3 is not None and not self.alpha3 > 0:
-            raise ValueError(f"alpha3 must be > 0, got {self.alpha3}")
 
     @property
     def has_sigmoid(self) -> bool:
@@ -104,9 +110,8 @@ class FrameLayout:
     def __post_init__(self):
         for name in ("shr_octets", "phr_octets", "mhr_octets", "fcs_octets",
                      "max_msdu_octets"):
-            _check_octets(name, getattr(self, name))
-        if not finite("preamble_rate", self.preamble_rate) > 0:
-            raise ValueError(f"preamble_rate must be > 0, got {self.preamble_rate}")
+            count(name, getattr(self, name))
+        finite("preamble_rate", self.preamble_rate, gt=0)
 
     @property
     def preamble_bits(self) -> int:
@@ -131,10 +136,8 @@ class EscState:
     voltage: float
 
     def __post_init__(self):
-        if not finite("capacitance", self.capacitance) > 0:
-            raise ValueError(f"capacitance must be > 0 F, got {self.capacitance}")
-        if finite("voltage", self.voltage) < 0:
-            raise ValueError(f"voltage must be >= 0 V, got {self.voltage}")
+        finite("capacitance", self.capacitance, gt=0)
+        finite("voltage", self.voltage, ge=0)
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,6 @@ class PacketPlan:
     data_rate: float   # bit/s
 
     def __post_init__(self):
-        _check_octets("msdu_octets", self.msdu_octets)
+        count("msdu_octets", self.msdu_octets)
         finite("tx_power", self.tx_power)
-        if not finite("data_rate", self.data_rate) > 0:
-            raise ValueError(f"data_rate must be > 0 bit/s, got {self.data_rate}")
+        finite("data_rate", self.data_rate, gt=0)

@@ -135,7 +135,7 @@ def load_plan(path) -> list[PacketPlan]:
     plans = []
     for line_no, fields in _read_rows(path, PLAN_HEADER):
         msdu, p_t, r_d = _floats(path, line_no, fields)
-        if msdu != int(msdu):
+        if not msdu.is_integer():
             raise TraceParseError(
                 f"{path}: line {line_no}: msdu_octets must be an integer, "
                 f"got {fields[0]}", line=line_no)
@@ -171,14 +171,17 @@ class RunConfig:
                              f"{self.include_final_gap!r}")
 
 
+def _check_keys(section: dict, allowed, what: str) -> None:
+    for key in section:
+        if key not in allowed:
+            raise ValueError(f"unknown {what} key {key!r}; "
+                             f"expected one of {sorted(allowed)}")
+
+
 def _apply_keys(section: dict, mapping: dict, what: str) -> dict:
-    kwargs = {}
-    for key, value in section.items():
-        if key not in mapping:
-            raise ValueError(f"unknown {what} config key {key!r}; "
-                             f"expected one of {sorted(mapping)}")
-        kwargs[mapping[key]] = finite(f"{what} config key {key!r}", value)
-    return kwargs
+    _check_keys(section, mapping, f"{what} config")
+    return {mapping[key]: finite(f"{what} config key {key!r}", value)
+            for key, value in section.items()}
 
 
 def _ocv_table(section: dict) -> OcvTable:
@@ -187,9 +190,7 @@ def _ocv_table(section: dict) -> OcvTable:
             or len(section["p_dbm"]) != len(section["v_oc_v"])):
         raise ValueError("config ocv_table must give exactly p_dbm and "
                          "v_oc_v, as lists of equal length")
-    p_dbm, v_oc_v = ([finite(f"ocv_table config key {key!r}", x)
-                      for x in section[key]] for key in OCV_HEADER)
-    return OcvTable(zip(p_dbm, v_oc_v))
+    return OcvTable(zip(section["p_dbm"], section["v_oc_v"]))
 
 
 def default_config_text() -> str:
@@ -200,7 +201,8 @@ def default_config_text() -> str:
 def load_config(path=None) -> RunConfig:
     """Build a RunConfig from the packaged defaults, optionally overlaid
     with a user JSON file of the same shape. A user ``ocv_table`` replaces
-    the default table whole; the other sections overlay key by key."""
+    the default table whole; the other sections overlay key by key. Keys
+    that the packaged defaults do not have are rejected."""
     raw = json.loads(default_config_text())
     if path is not None:
         with open(path) as handle:
@@ -208,17 +210,17 @@ def load_config(path=None) -> RunConfig:
         if not isinstance(user, dict):
             raise ValueError(f"{path}: config must be a JSON object, "
                              f"got {type(user).__name__}")
-        for section in ("device", "frame", "ocv_table", "esc"):
-            if section in user:
-                if not isinstance(user[section], dict):
+        _check_keys(user, raw, "top-level config")
+        for key, value in user.items():
+            if isinstance(raw[key], dict):
+                if not isinstance(value, dict):
                     raise ValueError(
-                        f"{path}: config section {section!r} must be an "
-                        f"object, got {type(user[section]).__name__}")
-                raw[section] = (user[section] if section == "ocv_table"
-                                else {**raw.get(section, {}), **user[section]})
-        for key in ("brownout_v", "include_final_gap"):
-            if key in user:
-                raw[key] = user[key]
+                        f"{path}: config section {key!r} must be an "
+                        f"object, got {type(value).__name__}")
+                if key == "esc":
+                    _check_keys(value, raw["esc"], "esc config")
+                value = value if key == "ocv_table" else {**raw[key], **value}
+            raw[key] = value
 
     profile = DeviceProfile(**_apply_keys(raw.get("device", {}), _DEVICE_KEYS,
                                           "device"))

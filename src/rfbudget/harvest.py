@@ -35,12 +35,9 @@ class ChargeModel:
     capacitance: float
 
     def __post_init__(self):
-        if not finite("v_oc", self.v_oc) > 0:
-            raise ValueError(f"v_oc must be > 0 V, got {self.v_oc}")
-        if not finite("r_eq", self.r_eq) > 0:
-            raise ValueError(f"r_eq must be > 0 ohm, got {self.r_eq}")
-        if not finite("capacitance", self.capacitance) > 0:
-            raise ValueError(f"capacitance must be > 0 F, got {self.capacitance}")
+        finite("v_oc", self.v_oc, gt=0)
+        finite("r_eq", self.r_eq, gt=0)
+        finite("capacitance", self.capacitance, gt=0)
 
     @property
     def tau(self) -> float:
@@ -56,10 +53,8 @@ class VoltageSample:
     v: float
 
     def __post_init__(self):
-        if finite("sample time", self.t) < 0:
-            raise ValueError(f"sample time must be >= 0 s, got {self.t}")
-        if finite("sample voltage", self.v) < 0:
-            raise ValueError(f"sample voltage must be >= 0 V, got {self.v}")
+        finite("sample time", self.t, ge=0)
+        finite("sample voltage", self.v, ge=0)
 
 
 class OcvTable:
@@ -72,7 +67,8 @@ class OcvTable:
     """
 
     def __init__(self, points: Iterable[tuple[float, float]]):
-        pts = tuple((float(p), float(v)) for p, v in points)
+        pts = tuple((float(finite("p_dbm", p)), float(finite("v_oc_v", v)))
+                    for p, v in points)
         if not pts:
             raise ValueError("OCV table must contain at least one point")
         for (p0, v0), (p1, v1) in zip(pts, pts[1:]):
@@ -91,10 +87,11 @@ class OcvTable:
                     (-5.0, 2.6), (-3.0, 3.2), (-2.0, 4.0)])
 
     def voltage_at(self, p_dbm: float) -> float:
-        return float(np.interp(p_dbm, self._p, self._v))
+        return float(np.interp(finite("p_dbm", p_dbm), self._p, self._v))
 
     def clamps(self, p_dbm: float) -> bool:
         """True when ``p_dbm`` falls outside the measured range."""
+        finite("p_dbm", p_dbm)
         return bool(p_dbm < self.points[0][0] or p_dbm > self.points[-1][0])
 
     def __len__(self) -> int:
@@ -106,8 +103,7 @@ class OcvTable:
 
 def charge_voltage(model: ChargeModel, t: float) -> float:
     """ESC voltage (V) after charging for ``t`` seconds from empty."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0 s, got {t}")
+    finite("t", t, ge=0)
     # -expm1 keeps precision for t << tau
     return -model.v_oc * math.expm1(-t / model.tau)
 
@@ -123,9 +119,7 @@ def time_to_voltage(model: ChargeModel, v_target: float) -> float:
     The target must lie strictly below the open-circuit voltage, which the
     charging curve only approaches asymptotically.
     """
-    if v_target < 0:
-        raise ValueError(f"target voltage must be >= 0 V, got {v_target}")
-    if v_target >= model.v_oc:
+    if finite("v_target", v_target, ge=0) >= model.v_oc:
         raise UnreachableVoltageError(
             f"target {v_target} V is not below the open-circuit voltage "
             f"{model.v_oc} V")
@@ -155,8 +149,7 @@ def fit_charge_model(samples: Sequence[VoltageSample], capacitance: float) -> Ch
 
     Raises FitError when the trace cannot constrain the fit.
     """
-    if not capacitance > 0:
-        raise ValueError(f"capacitance must be > 0 F, got {capacitance}")
+    finite("capacitance", capacitance, gt=0)
     if len(samples) < 3:
         raise FitError(f"need at least 3 samples to fit, got {len(samples)}")
     ts, vs = _as_arrays(samples)
@@ -203,10 +196,8 @@ def fit_r_known_voc(samples: Sequence[VoltageSample], capacitance: float,
     form; several samples are reconciled by a one-dimensional least-squares
     refinement seeded with the median of the per-sample inversions.
     """
-    if not capacitance > 0:
-        raise ValueError(f"capacitance must be > 0 F, got {capacitance}")
-    if not v_oc > 0:
-        raise ValueError(f"v_oc must be > 0 V, got {v_oc}")
+    finite("capacitance", capacitance, gt=0)
+    finite("v_oc", v_oc, gt=0)
     if not samples:
         raise FitError("need at least one sample to fit r_eq")
     for s in samples:

@@ -11,7 +11,7 @@ interval; the voltage droop within such a short interval is neglected.
 
 from dataclasses import dataclass
 
-from .device import DeviceProfile, FrameLayout, finite
+from .device import DeviceProfile, FrameLayout, count, finite
 
 
 @dataclass(frozen=True)
@@ -20,11 +20,8 @@ class PacketTiming:
 
     ``effective_fraction`` is the share of the airtime spent on payload
     bits: (8 * msdu / data_rate) / airtime.
-    ``wake_time`` is 0.0 when the timing was computed without a device
-    profile (airtime does not depend on one).
     """
 
-    wake_time: float
     airtime: float
     preamble_time: float
     effective_fraction: float
@@ -32,16 +29,14 @@ class PacketTiming:
 
 def wakeup_time(profile: DeviceProfile, msdu_octets: int) -> float:
     """Deep-sleep to data-transfer-mode time in ms; linear in the payload."""
-    if msdu_octets < 0:
-        raise ValueError(f"msdu_octets must be >= 0, got {msdu_octets}")
-    return profile.wake_slope * msdu_octets + profile.wake_intercept
+    return (profile.wake_slope * count("msdu_octets", msdu_octets)
+            + profile.wake_intercept)
 
 
 def wakeup_energy(profile: DeviceProfile, v_cc: float, msdu_octets: int) -> float:
     """Energy (uJ) to wake the device: wake current * V_cc * wake time."""
-    if v_cc < 0:
-        raise ValueError(f"supply voltage must be >= 0 V, got {v_cc}")
-    return profile.wake_current * v_cc * wakeup_time(profile, msdu_octets)
+    return (profile.wake_current * finite("v_cc", v_cc, ge=0)
+            * wakeup_time(profile, msdu_octets))
 
 
 def sleep_energy(profile: DeviceProfile, v_cc: float, supply_current_ma: float) -> float:
@@ -50,10 +45,8 @@ def sleep_energy(profile: DeviceProfile, v_cc: float, supply_current_ma: float) 
     The ramp-down lasts ``sleep_time`` ms at roughly half the transmit
     current, independent of voltage and payload.
     """
-    if v_cc < 0:
-        raise ValueError(f"supply voltage must be >= 0 V, got {v_cc}")
-    if supply_current_ma < 0:
-        raise ValueError(f"supply current must be >= 0 mA, got {supply_current_ma}")
+    finite("v_cc", v_cc, ge=0)
+    finite("supply_current_ma", supply_current_ma, ge=0)
     return 0.5 * profile.sleep_time * v_cc * supply_current_ma
 
 
@@ -63,16 +56,13 @@ def packet_airtime(layout: FrameLayout, msdu_octets: int, data_rate: float) -> P
     The SHR+PHR preamble always goes out at the layout's preamble rate
     (192 us under defaults); MHR, payload, and FCS follow at ``data_rate``.
     """
-    if msdu_octets < 0:
-        raise ValueError(f"msdu_octets must be >= 0, got {msdu_octets}")
-    if not finite("data_rate", data_rate) > 0:
-        raise ValueError(f"data_rate must be > 0 bit/s, got {data_rate}")
+    count("msdu_octets", msdu_octets)
+    finite("data_rate", data_rate, gt=0)
     preamble_ms = layout.preamble_bits / layout.preamble_rate * 1e3
     psdu_bits = 8 * (layout.overhead_psdu_octets + msdu_octets)
     airtime_ms = preamble_ms + psdu_bits / data_rate * 1e3
     payload_ms = 8 * msdu_octets / data_rate * 1e3
-    return PacketTiming(wake_time=0.0, airtime=airtime_ms,
-                        preamble_time=preamble_ms,
+    return PacketTiming(airtime=airtime_ms, preamble_time=preamble_ms,
                         effective_fraction=payload_ms / airtime_ms)
 
 
@@ -86,10 +76,8 @@ def interpacket_overhead(profile: DeviceProfile, v_end: float,
     time/current product). Evaluated at the voltage at the end of the
     finished packet.
     """
-    if v_end < 0:
-        raise ValueError(f"supply voltage must be >= 0 V, got {v_end}")
-    if supply_current_ma < 0:
-        raise ValueError(f"supply current must be >= 0 mA, got {supply_current_ma}")
+    finite("v_end", v_end, ge=0)
+    finite("supply_current_ma", supply_current_ma, ge=0)
     off = profile.txrx_off_time * v_end * (supply_current_ma + profile.txrx_off_current) / 2.0
     on = profile.txrx_on_time * profile.txrx_on_current * v_end
     return off + on

@@ -9,7 +9,7 @@ not a throughput-optimal scheduler.
 from dataclasses import dataclass
 
 from .burst import BurstReport, burst_energy, DEFAULT_BROWNOUT_V, max_packets
-from .device import DeviceProfile, EscState, FrameLayout, PacketPlan
+from .device import DeviceProfile, EscState, FrameLayout, PacketPlan, finite
 from .errors import UnreachableVoltageError
 from .harvest import ChargeModel, time_to_voltage
 from .packet import packet_airtime, wakeup_time
@@ -36,11 +36,8 @@ def recharge_plan(model: ChargeModel, v_low: float, v_high: float) -> float:
     Uses the time-shift property of the charging curve: the same fitted
     model is assumed to apply regardless of the starting voltage.
     """
-    if v_low < 0:
-        raise ValueError(f"v_low must be >= 0 V, got {v_low}")
-    if v_low > v_high:
-        raise ValueError(f"v_low {v_low} V must not exceed v_high {v_high} V")
-    if v_high >= model.v_oc:
+    finite("v_low", v_low, ge=0)
+    if finite("v_high", v_high, ge=v_low) >= model.v_oc:
         raise UnreachableVoltageError(
             f"target {v_high} V is not below the open-circuit voltage "
             f"{model.v_oc} V")
@@ -59,6 +56,8 @@ def cycle_report(model: ChargeModel, initial: EscState, v_cutoff: float,
     recharge phase runs from the post-burst voltage back to the initial
     voltage, so the initial voltage must be reachable under ``model``.
     """
+    if brownout_v is not None:
+        finite("brownout_v", brownout_v)
     n = max_packets(initial, v_cutoff, template, profile, layout, cap_n,
                     include_final_gap=include_final_gap)
     if n == 0:

@@ -33,9 +33,7 @@ class CalibrationPoint:
     tx_power: float
 
     def __post_init__(self):
-        if not finite("supply_current", self.supply_current) > 0:
-            raise ValueError(
-                f"supply_current must be > 0 mA, got {self.supply_current}")
+        finite("supply_current", self.supply_current, gt=0)
         finite("tx_power", self.tx_power)
 
 
@@ -48,8 +46,7 @@ class SigmoidCoefficients(NamedTuple):
 
 def tx_power_from_current(profile: DeviceProfile, supply_current_ma: float) -> float:
     """Transmit power (dBm) drawn from the fitted S-curve at a supply current."""
-    if supply_current_ma < 0:
-        raise ValueError(f"supply current must be >= 0 mA, got {supply_current_ma}")
+    finite("supply_current_ma", supply_current_ma, ge=0)
     a1, a2, a3, a4 = profile.sigmoid_coefficients()
     x = a3 * (supply_current_ma - a4)
     if x > _EXP_CLIP:
@@ -61,22 +58,22 @@ def current_from_tx_power(profile: DeviceProfile, tx_power_dbm: float) -> float:
     """Supply current (mA) required for a transmit power; closed-form inverse.
 
     The S-curve only spans the open interval (alpha1 - alpha2, alpha1);
-    powers outside it are unattainable for the device.
+    powers outside it are unattainable for the device, and so are powers
+    near its floor that the curve maps to a negative current.
     """
     a1, a2, a3, a4 = profile.sigmoid_coefficients()
-    if not (a1 - a2) < tx_power_dbm < a1:
+    if not (a1 - a2) < finite("tx_power_dbm", tx_power_dbm) < a1:
         raise ValueError(
             f"transmit power {tx_power_dbm} dBm outside the attainable open "
             f"interval ({a1 - a2}, {a1}) dBm")
-    return a4 + math.log(a2 / (a1 - tx_power_dbm) - 1.0) / a3
+    current = a4 + math.log(a2 / (a1 - tx_power_dbm) - 1.0) / a3
+    return finite(f"supply current for {tx_power_dbm} dBm", current, ge=0)
 
 
 def system_power(v_cc: float, supply_current_ma: float) -> float:
     """System power consumption in mW: supply voltage times supply current."""
-    if v_cc < 0:
-        raise ValueError(f"supply voltage must be >= 0 V, got {v_cc}")
-    if supply_current_ma < 0:
-        raise ValueError(f"supply current must be >= 0 mA, got {supply_current_ma}")
+    finite("v_cc", v_cc, ge=0)
+    finite("supply_current_ma", supply_current_ma, ge=0)
     return v_cc * supply_current_ma
 
 
@@ -89,6 +86,7 @@ def fit_sigmoid(points: Sequence[CalibrationPoint], *,
     Returned alpha2 and alpha3 are strictly positive so the fitted curve
     is increasing.
     """
+    finite("monotone_tol", monotone_tol, ge=0)
     if len(points) < 6:
         raise FitError(f"need at least 6 calibration points, got {len(points)}")
     pts = sorted(points, key=lambda p: p.supply_current)

@@ -6,8 +6,9 @@ import pytest
 from rfbudget import (BrownoutWarning, EscDepletedError, EscState, PacketPlan,
                       bit_energy_closed_form, bit_energy_oracle, burst_energy,
                       current_from_tx_power, first_bit_energy,
-                      interpacket_overhead, packet_airtime, protocol_overhead,
-                      segment_energy, sleep_energy, wakeup_energy)
+                      interpacket_overhead, max_packets, packet_airtime,
+                      protocol_overhead, segment_energy, sleep_energy,
+                      wakeup_energy)
 from conftest import (REF_CAP_F, REF_CURRENT_MA, REF_RATE_BPS, REF_TX_DBM,
                       REF_V0)
 
@@ -411,3 +412,16 @@ def test_burst_rejects_oversized_payload(sig_profile, layout):
     plan = PacketPlan(msdu_octets=200, tx_power=0.0, data_rate=250e3)
     with pytest.raises(ValueError, match="exceeds"):
         burst_energy([plan], EscState(1e-3, 3.0), sig_profile, layout)
+
+
+def test_power_that_needs_a_negative_current_is_rejected(sig_profile, layout):
+    # Under the suite's S-curve, -35.9 dBm lies inside the attainable
+    # interval but maps to about -4.48 mA, which would raise the voltage.
+    initial = EscState(REF_CAP_F, REF_V0)
+    plan = PacketPlan(msdu_octets=10, tx_power=-35.9, data_rate=REF_RATE_BPS)
+    for call in (lambda: current_from_tx_power(sig_profile, -35.9),
+                 lambda: burst_energy([plan], initial, sig_profile, layout),
+                 lambda: max_packets(initial, 1.8, plan, sig_profile, layout,
+                                     8)):
+        with pytest.raises(ValueError, match=r"-35\.9 dBm must be >= 0"):
+            call()

@@ -423,6 +423,9 @@ STORE = ["--capacitance-f", "0.00012", "--initial-v", "2.5"]
     ({"include_final_gap": 0}, "include_final_gap"),
     ({"frame": {"shr_octets": 5.5}}, "shr_octets"),
     ({"device": {"wake_current_ma": float("nan")}}, "wake_current_ma"),
+    ({"esc": {"capacitance": 0.00012, "initial_voltage_v": 2.5}},
+     "'capacitance'"),
+    ({"brownout_volts": 1.6}, "'brownout_volts'"),
 ])
 def test_cli_config_rejects_bad_store_and_burst_values(tmp_path, capsys,
                                                        body, key):
@@ -433,6 +436,22 @@ def test_cli_config_rejects_bad_store_and_burst_values(tmp_path, capsys,
     assert (status, out) == (1, "")
     assert err.startswith("error:") and key in err
     assert "Traceback" not in err
+
+
+BROWNOUT_LINE = ("warning: supply voltage reached 1.103 V, below the 1.80 V "
+                 "brown-out level; the device constants are unvalidated "
+                 "down there\n")
+
+
+def test_cli_prints_the_brownout_warning_as_one_line(tmp_path, capsys):
+    config = sigmoid_config(tmp_path)
+    plan = plan_file(tmp_path, [(106, 3.5, 250000)] * 2)
+    for argv in (["simulate-burst", "--plan", plan],
+                 ["plan-cycle", "--v-oc", "3.0", "--r-ohm", "800",
+                  "--cutoff-v", "0.5", "--msdu-octets", "106",
+                  "--tx-power-dbm", "3.5", "--data-rate-bps", "250000"]):
+        status, _, err = run_cli(capsys, [*argv, "--config", config, *STORE])
+        assert (status, err) == (0, BROWNOUT_LINE)
 
 
 def test_cli_config_null_brownout_disables_the_warning(tmp_path, capsys):
@@ -473,9 +492,28 @@ def test_cli_config_null_brownout_disables_the_warning(tmp_path, capsys):
     (lambda tmp_path: ["fit-power", "--calibration",
                        calibration_file(tmp_path, "5.0,-20.0\n10.0,nan\n")],
      "tx_power"),
+    (lambda tmp_path: ["packet-cost", "--msdu-octets", "10",
+                       "--data-rate-bps", "250000", "--vcc-v", "nan",
+                       "--current-ma", "10"], "v_cc"),
+    (lambda tmp_path: ["packet-cost", "--msdu-octets", "10",
+                       "--data-rate-bps", "250000", "--vcc-v", "2.5",
+                       "--current-ma", "inf"], "supply_current_ma"),
+    (lambda tmp_path: ["plan-cycle", "--config", sigmoid_config(tmp_path),
+                       "--v-oc", "3.0", "--r-ohm", "800", *STORE,
+                       "--cutoff-v", "nan", "--msdu-octets", "106",
+                       "--tx-power-dbm", "3.5", "--data-rate-bps", "250000"],
+     "v_cutoff"),
+    (lambda tmp_path: ["predict-charge", "--v-oc", "3", "--r-ohm", "800",
+                       "--capacitance-f", "0.00012", "--horizon-s", "inf"],
+     "--horizon-s"),
+    (lambda tmp_path: ["ocv", "--p-dbm", "nan"], "p_dbm"),
+    (lambda tmp_path: ["simulate-burst", "--config", sigmoid_config(tmp_path),
+                       "--plan", plan_file(tmp_path, [("inf", 0.0, 250000)]),
+                       *STORE], "msdu_octets"),
 ], ids=["rate-flag", "initial-v-flag", "brownout-flag", "plan-tx-power",
         "plan-rate", "trace-voltage", "trace-time", "charge-model",
-        "calibration-power"])
+        "calibration-power", "vcc-flag", "current-flag", "cutoff-flag",
+        "horizon-flag", "p-dbm-flag", "plan-octets"])
 def test_cli_rejects_non_finite_flags_and_records(tmp_path, capsys,
                                                   make_argv, key):
     status, out, err = run_cli(capsys, make_argv(tmp_path))
