@@ -20,6 +20,7 @@ step-by-step implementation of the same recursion used to cross-check the
 closed form and the burst accounting.
 """
 
+import array
 import math
 import warnings
 from dataclasses import dataclass
@@ -88,10 +89,13 @@ class BurstReport:
     """Full ledger of one burst (wake-up, N packets, sleep).
 
     ``sample_packet``/``sample_bit``/``sample_cumulative_uj`` are parallel
-    arrays with one entry per transmitted bit: the 1-based packet index,
-    the 1-based bit position within that packet's frame, and the running
-    energy total (uJ) including every lump overhead withdrawn so far. They
-    are empty when the burst was simulated with ``record_samples=False``.
+    arrays with one entry per transmitted bit: the 1-based packet index
+    (int32), the 1-based bit position within that packet's frame (int32),
+    and the running energy total (uJ, float64) including every lump
+    overhead withdrawn so far. The two index arrays are built from the
+    frame sizes after the burst; the running total is the one the drain
+    recorded bit by bit. All three are empty, with the same dtypes, when
+    the burst was simulated with ``record_samples=False``.
     ``total_energy_uj`` additionally includes the final sleep ramp.
     """
 
@@ -139,8 +143,10 @@ class _Drain:
         """Draw ``n_bits`` per-bit withdrawals of v * charge_per_bit joules.
 
         ``charge_per_bit`` is supply current (A) / data rate (bit/s).
-        When ``out`` is a list, the running burst total (J) is appended
-        after every bit. Returns the energy (J) drawn by this segment.
+        When ``out`` is given (``burst_energy`` passes an
+        ``array.array("d")``; anything with ``append`` works), the running
+        burst total (J) is appended after every bit. Returns the energy
+        (J) drawn by this segment.
         """
         w0 = self._w0
         c2 = self._c2
@@ -297,6 +303,16 @@ def _supply_currents(plans: Sequence[PacketPlan], profile: DeviceProfile,
     return [current_from_tx_power(profile, plan.tx_power) for plan in plans]
 
 
+def _sample_indices(frame_bits: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """1-based packet index and bit position (both int32) of every bit of
+    consecutive frames of ``frame_bits`` bits each."""
+    bits = np.asarray(frame_bits, dtype=np.int64)
+    packet = np.repeat(np.arange(1, bits.size + 1, dtype=np.int32), bits)
+    starts = np.repeat(np.cumsum(bits) - bits, bits)
+    bit = np.arange(1, starts.size + 1, dtype=np.int64) - starts
+    return packet, bit.astype(np.int32)
+
+
 def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
                  profile: DeviceProfile, layout: FrameLayout, *,
                  include_final_gap: bool = True,
@@ -329,9 +345,7 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
         finite("brownout_v", brownout_v)
     drain = _Drain(initial.voltage, initial.capacitance)
     currents = _supply_currents(plans, profile, layout)
-    cum_joules: list[float] | None = [] if record_samples else None
-    sample_packet: list[int] = []
-    sample_bit: list[int] = []
+    cum_joules = array.array("d") if record_samples else None
     ledger: list[PacketLedger] = []
     v_min = initial.voltage
 
@@ -342,10 +356,6 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
         v_start = drain.voltage
         frame = _frame_cascade(drain, layout, plan.msdu_octets, current_ma,
                                plan.data_rate, packet=j, out=cum_joules)
-        if record_samples:
-            frame_bits = layout.frame_bits(plan.msdu_octets)
-            sample_packet.extend([j] * frame_bits)
-            sample_bit.extend(range(1, frame_bits + 1))
 
         gap_uj = 0.0
         sleep_uj = 0.0
@@ -369,12 +379,16 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
             "brown-out level; the device constants are unvalidated down there",
             BrownoutWarning, stacklevel=2)
 
-    cum_uj = (np.asarray(cum_joules) * 1e6 if record_samples
+    sample_packet, sample_bit = _sample_indices(
+        [layout.frame_bits(plan.msdu_octets) for plan in plans]
+        if record_samples else [])
+    # The product is a fresh array, so the report does not alias the buffer.
+    cum_uj = (np.frombuffer(cum_joules) * 1e6 if record_samples
               else np.empty(0))
     return BurstReport(
         packets=tuple(ledger),
-        sample_packet=np.asarray(sample_packet, dtype=np.int32),
-        sample_bit=np.asarray(sample_bit, dtype=np.int32),
+        sample_packet=sample_packet,
+        sample_bit=sample_bit,
         sample_cumulative_uj=cum_uj,
         total_energy_uj=drain.total_joules * 1e6,
         final_state=EscState(initial.capacitance, drain.voltage))

@@ -75,19 +75,20 @@ def cmd_fit_charge(args, config: RunConfig) -> dict:
 
 def cmd_predict_charge(args, config: RunConfig) -> dict:
     model = _charge_model_from_args(args, args.capacitance_f)
-    finite("--horizon-s", args.horizon_s, gt=0)
-    n = count("--points", args.points, ge=2)
-    times = [args.horizon_s * i / (n - 1) for i in range(n)]
-    curve = [(t, charge_voltage(model, t)) for t in times]
+    horizon = finite("--horizon-s", args.horizon_s, gt=0)
+    # The times divide by n - 1 as a float, so n must fit in one.
+    n = finite("--points", count("--points", args.points, ge=2))
     if args.curve_csv:
-        write_table(args.curve_csv, ("t_s", "v_v"), curve)
+        times = (horizon * i / (n - 1) for i in range(n))
+        write_table(args.curve_csv, ("t_s", "v_v"),
+                    ((t, charge_voltage(model, t)) for t in times))
     return {
         "v_oc_v": model.v_oc,
         "r_eq_ohm": model.r_eq,
         "capacitance_f": model.capacitance,
         "tau_s": model.tau,
         "horizon_s": args.horizon_s,
-        "v_at_horizon_v": curve[-1][1],
+        "v_at_horizon_v": charge_voltage(model, horizon * (n - 1) / (n - 1)),
         "n_points": n,
     }
 
@@ -166,9 +167,8 @@ def cmd_simulate_burst(args, config: RunConfig) -> dict:
                 for p in report.packets]
         write_table(args.packets_csv, header, rows)
     if args.samples_csv:
-        rows = zip((int(x) for x in report.sample_packet),
-                   (int(x) for x in report.sample_bit),
-                   (float(x) for x in report.sample_cumulative_uj))
+        rows = zip(report.sample_packet.tolist(), report.sample_bit.tolist(),
+                   report.sample_cumulative_uj.tolist())
         write_table(args.samples_csv, ("packet", "bit", "e_cum_uj"), rows)
     return {
         "n_packets": len(report.packets),

@@ -15,10 +15,16 @@ from dataclasses import dataclass
 def finite(name: str, value, *, gt=None, ge=None):
     """``value`` if it is a finite real number, above ``gt`` and at least
     ``ge`` when those are given; otherwise a ValueError that names
-    ``name``. Booleans, strings and None are not numbers here."""
-    if ((type(value) is not float and (isinstance(value, bool)
-                                       or not isinstance(value, numbers.Real)))
-            or not math.isfinite(value)):
+    ``name``. Booleans, strings, None and integers too large for a float
+    are not finite numbers here."""
+    try:
+        bad = ((type(value) is not float
+                and (isinstance(value, bool)
+                     or not isinstance(value, numbers.Real)))
+               or not math.isfinite(value))
+    except OverflowError:
+        bad = True
+    if bad:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     if gt is not None and not value > gt:
         raise ValueError(f"{name} must be > {gt}, got {value}")

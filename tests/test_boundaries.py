@@ -110,8 +110,10 @@ CASES = [(func, base, arg) for func, base in BOUNDARIES
          for arg, value in base.items() if type(value) in (int, float)]
 IDS = [f"{func.__qualname__}-{arg}" for func, _, arg in CASES]
 
-BAD_NUMBERS = [math.nan, math.inf, -math.inf, True, "1"]
-BAD_COUNTS = BAD_NUMBERS + [2.5]
+NOT_NUMBERS = [math.nan, math.inf, -math.inf, True, "1"]
+# An integer too large for a float is a count but not a finite number.
+BAD_NUMBERS = NOT_NUMBERS + [10**400]
+BAD_COUNTS = NOT_NUMBERS + [2.5]
 
 
 @pytest.mark.parametrize("func, base",

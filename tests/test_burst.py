@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rfbudget import (BrownoutWarning, EscDepletedError, EscState, PacketPlan,
+from rfbudget import (BrownoutWarning, ChargeModel, DeviceProfile,
+                      EscDepletedError, EscState, FrameLayout, PacketPlan,
                       bit_energy_closed_form, bit_energy_oracle, burst_energy,
-                      current_from_tx_power, first_bit_energy,
+                      current_from_tx_power, cycle_report, first_bit_energy,
                       interpacket_overhead, max_packets, packet_airtime,
                       protocol_overhead, segment_energy, sleep_energy,
                       wakeup_energy)
-from conftest import (REF_CAP_F, REF_CURRENT_MA, REF_RATE_BPS, REF_TX_DBM,
-                      REF_V0)
+from rfbudget.burst import _Drain, _frame_cascade
+from conftest import (ALPHA1, ALPHA2, ALPHA3, ALPHA4, REF_CAP_F,
+                      REF_CURRENT_MA, REF_RATE_BPS, REF_TX_DBM, REF_V0)
 
 FULL_FRAME_BITS = 48 + 8 * (19 + 106 + 2)  # 1064 for a full payload
 
@@ -406,6 +410,83 @@ def test_burst_sample_recording_can_be_skipped(sig_profile, layout):
     assert slim.sample_cumulative_uj.size == 0
     assert slim.total_energy_uj == full.total_energy_uj
     assert slim.final_state.voltage == full.final_state.voltage
+
+
+def reference_samples(plans, initial, profile, layout, include_final_gap):
+    """The three sample arrays built one Python object per bit: the drain
+    appends each running total to a list, and the index lists grow packet
+    by packet."""
+    drain = _Drain(initial.voltage, initial.capacitance)
+    drain.withdraw(wakeup_energy(profile, drain.voltage,
+                                 plans[0].msdu_octets) * 1e-6)
+    cum, sample_packet, sample_bit = [], [], []
+    for j, plan in enumerate(plans, 1):
+        current_ma = current_from_tx_power(profile, plan.tx_power)
+        _frame_cascade(drain, layout, plan.msdu_octets, current_ma,
+                       plan.data_rate, out=cum)
+        frame_bits = layout.frame_bits(plan.msdu_octets)
+        sample_packet.extend([j] * frame_bits)
+        sample_bit.extend(range(1, frame_bits + 1))
+        if j < len(plans) and (include_final_gap or j < len(plans) - 1):
+            drain.withdraw(interpacket_overhead(profile, drain.voltage,
+                                                current_ma) * 1e-6)
+    return (np.asarray(sample_packet, dtype=np.int32),
+            np.asarray(sample_bit, dtype=np.int32),
+            np.asarray(cum) * 1e6)
+
+
+def sample_arrays(report):
+    return (report.sample_packet, report.sample_bit,
+            report.sample_cumulative_uj)
+
+
+def assert_same_arrays(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+mixed_plans = st.lists(
+    st.builds(PacketPlan, msdu_octets=st.integers(0, 106),
+              tx_power=st.floats(-10.0, 3.5),
+              data_rate=st.sampled_from([250e3, 1e6, 2e6])),
+    min_size=1, max_size=6)
+
+
+@settings(deadline=None)
+@given(plans=mixed_plans, capacitance=st.floats(1e-3, 22e-3),
+       v0=st.floats(2.5, 3.6), include_final_gap=st.booleans())
+def test_burst_samples_equal_per_bit_reference(plans, capacitance, v0,
+                                               include_final_gap):
+    sig_profile = DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
+                                alpha4=ALPHA4)
+    layout = FrameLayout()
+    initial = EscState(capacitance, v0)
+    report = burst_energy(plans, initial, sig_profile, layout,
+                          include_final_gap=include_final_gap,
+                          brownout_v=None)
+    assert_same_arrays(sample_arrays(report),
+                       reference_samples(plans, initial, sig_profile, layout,
+                                         include_final_gap))
+    slim = burst_energy(plans, initial, sig_profile, layout,
+                        include_final_gap=include_final_gap,
+                        brownout_v=None, record_samples=False)
+    assert_same_arrays(sample_arrays(slim),
+                       (np.empty(0, np.int32), np.empty(0, np.int32),
+                        np.empty(0, np.float64)))
+
+
+def test_cycle_report_burst_equals_a_direct_burst(sig_profile, layout):
+    initial = EscState(capacitance=2e-3, voltage=3.0)
+    model = ChargeModel(v_oc=3.6, r_eq=800.0, capacitance=2e-3)
+    template = ref_plan(40)
+    plan = cycle_report(model, initial, 2.2, template, sig_profile, layout,
+                        64, brownout_v=None)
+    assert plan.n_packets > 1
+    direct = burst_energy([template] * plan.n_packets, initial, sig_profile,
+                          layout, brownout_v=None)
+    assert_same_arrays(sample_arrays(plan.burst), sample_arrays(direct))
+    assert plan.burst.sample_packet[-1] == plan.n_packets
 
 
 def test_burst_rejects_oversized_payload(sig_profile, layout):

@@ -246,6 +246,49 @@ def test_cli_predict_charge_curve(tmp_path, capsys):
     assert v_last == pytest.approx(record["v_at_horizon_v"], rel=1e-5)
 
 
+PREDICT = ["predict-charge", "--v-oc", "2.6", "--r-ohm", "170.6",
+           "--capacitance-f", "0.0022", "--horizon-s", "2.0"]
+
+
+def counting_charge_voltage(monkeypatch):
+    """Count the calls the CLI makes to ``charge_voltage``."""
+    calls = []
+
+    def counted(model, t):
+        calls.append(t)
+        return charge_voltage(model, t)
+    monkeypatch.setattr("rfbudget.cli.charge_voltage", counted)
+    return calls
+
+
+def test_cli_predict_charge_report_samples_the_curve_once(monkeypatch,
+                                                          capsys):
+    calls = counting_charge_voltage(monkeypatch)
+    status, out, err = run_cli(capsys, [*PREDICT, "--points", "1000"])
+    assert status == 0, err
+    assert calls == [2.0]
+    assert json.loads(out)["n_points"] == 1000
+
+
+def test_cli_predict_charge_streams_the_curve_rows(tmp_path, monkeypatch,
+                                                   capsys):
+    calls = counting_charge_voltage(monkeypatch)
+    seen = []
+
+    def consume(path, header, rows):
+        for k, row in enumerate(rows, 1):
+            assert len(calls) == k  # each row is computed as it is written
+            seen.append(row)
+    monkeypatch.setattr("rfbudget.cli.write_table", consume)
+    status, out, err = run_cli(capsys, [*PREDICT, "--points", "50",
+                                        "--curve-csv",
+                                        str(tmp_path / "curve.csv")])
+    assert status == 0, err
+    assert len(seen) == 50 and seen[-1][0] == 2.0
+    assert json.loads(out)["v_at_horizon_v"] == pytest.approx(seen[-1][1],
+                                                              rel=1e-5)
+
+
 def test_cli_fit_power(tmp_path, capsys):
     from rfbudget import DeviceProfile, tx_power_from_current
     truth = DeviceProfile(alpha1=4.0, alpha2=40.0, alpha3=0.5, alpha4=14.0)
@@ -399,7 +442,8 @@ def test_cli_config_rejects_non_object(tmp_path, capsys, body):
     assert err.startswith("error:") and "object" in err
 
 
-@pytest.mark.parametrize("value", ["abc", True, None])
+@pytest.mark.parametrize("value", ["abc", True, None,
+                                   pytest.param(10**400, id="huge-int")])
 def test_cli_config_rejects_non_numeric_device_value(tmp_path, capsys, value):
     config = write_config(tmp_path,
                           {"device": {"wake_slope_ms_per_octet": value}})
@@ -507,13 +551,16 @@ def test_cli_config_null_brownout_disables_the_warning(tmp_path, capsys):
                        "--capacitance-f", "0.00012", "--horizon-s", "inf"],
      "--horizon-s"),
     (lambda tmp_path: ["ocv", "--p-dbm", "nan"], "p_dbm"),
+    (lambda tmp_path: ["predict-charge", "--v-oc", "3", "--r-ohm", "800",
+                       "--capacitance-f", "0.00012", "--horizon-s", "1",
+                       "--points", "1" + "0" * 400], "--points"),
     (lambda tmp_path: ["simulate-burst", "--config", sigmoid_config(tmp_path),
                        "--plan", plan_file(tmp_path, [("inf", 0.0, 250000)]),
                        *STORE], "msdu_octets"),
 ], ids=["rate-flag", "initial-v-flag", "brownout-flag", "plan-tx-power",
         "plan-rate", "trace-voltage", "trace-time", "charge-model",
         "calibration-power", "vcc-flag", "current-flag", "cutoff-flag",
-        "horizon-flag", "p-dbm-flag", "plan-octets"])
+        "horizon-flag", "p-dbm-flag", "points-flag", "plan-octets"])
 def test_cli_rejects_non_finite_flags_and_records(tmp_path, capsys,
                                                   make_argv, key):
     status, out, err = run_cli(capsys, make_argv(tmp_path))
