@@ -15,8 +15,8 @@ from .errors import (BrownoutWarning, EscDepletedError, FitError,
 from .fileio import (RunConfig, load_calibration, load_config, load_ocv_table,
                      load_plan, load_voltage_trace)
 from .harvest import (ChargeModel, OcvTable, VoltageSample, charge_voltage,
-                      fit_charge_model, fit_r_known_voc, ocv_from_power,
-                      prediction_error, stored_energy, time_to_voltage)
+                      fit_charge_model, fit_r_known_voc, prediction_error,
+                      stored_energy, time_to_voltage)
 from .packet import (PacketTiming, interpacket_overhead, packet_airtime,
                      sleep_energy, wakeup_energy, wakeup_time)
 from .planner import CyclePlan, cycle_report, max_packets, recharge_plan
@@ -37,8 +37,8 @@ __all__ = [
     "first_bit_energy", "fit_charge_model", "fit_r_known_voc", "fit_sigmoid",
     "interpacket_overhead", "load_calibration", "load_config",
     "load_ocv_table", "load_plan", "load_voltage_trace", "max_packets",
-    "ocv_from_power", "packet_airtime", "prediction_error",
-    "protocol_overhead", "recharge_plan", "segment_energy", "sleep_energy",
-    "stored_energy", "system_power", "time_to_voltage",
-    "tx_power_from_current", "wakeup_energy", "wakeup_time",
+    "packet_airtime", "prediction_error", "protocol_overhead",
+    "recharge_plan", "segment_energy", "sleep_energy", "stored_energy",
+    "system_power", "time_to_voltage", "tx_power_from_current",
+    "wakeup_energy", "wakeup_time",
 ]

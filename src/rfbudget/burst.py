@@ -34,9 +34,6 @@ from .errors import BrownoutWarning, EscDepletedError
 from .packet import interpacket_overhead, sleep_energy, wakeup_energy
 from .radiopower import current_from_tx_power
 
-# Segment names in transmission order; also used in depletion errors.
-FRAME_SEGMENTS = ("phy", "mhr", "msdu", "fcs")
-
 DEFAULT_BROWNOUT_V = 1.8
 
 

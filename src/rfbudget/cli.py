@@ -76,8 +76,7 @@ def cmd_fit_charge(args, config: RunConfig) -> dict:
 def cmd_predict_charge(args, config: RunConfig) -> dict:
     model = _charge_model_from_args(args, args.capacitance_f)
     horizon = finite("--horizon-s", args.horizon_s, gt=0)
-    # The times divide by n - 1 as a float, so n must fit in one.
-    n = finite("--points", count("--points", args.points, ge=2))
+    n = count("--points", args.points, ge=2)
     if args.curve_csv:
         times = (horizon * i / (n - 1) for i in range(n))
         write_table(args.curve_csv, ("t_s", "v_v"),

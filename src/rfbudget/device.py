@@ -34,14 +34,12 @@ def finite(name: str, value, *, gt=None, ge=None):
 
 
 def count(name: str, value, *, ge=0) -> int:
-    """``value`` if it is an integer (not a boolean) of at least ``ge``;
-    otherwise a ValueError that names ``name``."""
+    """``value`` if it is an integer (not a boolean) of at least ``ge``
+    that a float can hold; otherwise a ValueError that names ``name``."""
     if type(value) is not int and (isinstance(value, bool)
                                    or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not value >= ge:
-        raise ValueError(f"{name} must be >= {ge}, got {value}")
-    return value
+    return finite(name, value, ge=ge)
 
 
 @dataclass(frozen=True)

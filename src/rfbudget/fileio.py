@@ -15,11 +15,11 @@ output.
 
 import csv
 import json
-from dataclasses import dataclass
-from importlib import resources
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .burst import DEFAULT_BROWNOUT_V
 from .device import DeviceProfile, FrameLayout, PacketPlan, finite
 from .errors import TraceParseError
 from .harvest import OcvTable, VoltageSample
@@ -29,8 +29,6 @@ TRACE_HEADER = ("t_s", "v_v")
 OCV_HEADER = ("p_dbm", "v_oc_v")
 CALIBRATION_HEADER = ("c_c_ma", "p_t_dbm")
 PLAN_HEADER = ("msdu_octets", "p_t_dbm", "r_d_bps")
-
-DEFAULT_CONFIG_RESOURCE = "atmega256rfr2.json"
 
 # config key (with unit suffix) -> DeviceProfile field
 _DEVICE_KEYS = {
@@ -56,6 +54,11 @@ _FRAME_KEYS = {
     "max_msdu_octets": "max_msdu_octets",
     "preamble_rate_bps": "preamble_rate",
 }
+
+# config sections that must be JSON objects; "description" is free text
+_SECTIONS = ("device", "frame", "ocv_table", "esc")
+_TOP_KEYS = (*_SECTIONS, "brownout_v", "include_final_gap", "description")
+_ESC_KEYS = ("capacitance_f", "initial_voltage_v")
 
 
 def _read_rows(path, header: tuple[str, ...]):
@@ -150,15 +153,16 @@ def load_plan(path) -> list[PacketPlan]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration: device, frame, OCV table, mode flags."""
+    """Resolved run configuration: device, frame, OCV table, mode flags.
+    ``RunConfig()`` is the built-in default: no store, final gap counted."""
 
-    profile: DeviceProfile
-    layout: FrameLayout
-    ocv_table: OcvTable
-    capacitance_f: float | None
-    initial_voltage_v: float | None
-    brownout_v: float | None
-    include_final_gap: bool
+    profile: DeviceProfile = field(default_factory=DeviceProfile)
+    layout: FrameLayout = field(default_factory=FrameLayout)
+    ocv_table: OcvTable = field(default_factory=OcvTable.p2110)
+    capacitance_f: float | None = None
+    initial_voltage_v: float | None = None
+    brownout_v: float | None = DEFAULT_BROWNOUT_V
+    include_final_gap: bool = True
 
     def __post_init__(self):
         # None leaves the store unset (flags must give it) or, for
@@ -193,46 +197,39 @@ def _ocv_table(section: dict) -> OcvTable:
     return OcvTable(zip(section["p_dbm"], section["v_oc_v"]))
 
 
-def default_config_text() -> str:
-    return (resources.files("rfbudget") / "data"
-            / DEFAULT_CONFIG_RESOURCE).read_text()
-
-
 def load_config(path=None) -> RunConfig:
-    """Build a RunConfig from the packaged defaults, optionally overlaid
-    with a user JSON file of the same shape. A user ``ocv_table`` replaces
-    the default table whole; the other sections overlay key by key. Keys
-    that the packaged defaults do not have are rejected."""
-    raw = json.loads(default_config_text())
-    if path is not None:
-        with open(path) as handle:
-            user = json.load(handle)
-        if not isinstance(user, dict):
-            raise ValueError(f"{path}: config must be a JSON object, "
-                             f"got {type(user).__name__}")
-        _check_keys(user, raw, "top-level config")
-        for key, value in user.items():
-            if isinstance(raw[key], dict):
-                if not isinstance(value, dict):
-                    raise ValueError(
-                        f"{path}: config section {key!r} must be an "
-                        f"object, got {type(value).__name__}")
-                if key == "esc":
-                    _check_keys(value, raw["esc"], "esc config")
-                value = value if key == "ocv_table" else {**raw[key], **value}
-            raw[key] = value
+    """``RunConfig()`` overlaid with the user JSON file at ``path``, if any.
 
-    profile = DeviceProfile(**_apply_keys(raw.get("device", {}), _DEVICE_KEYS,
-                                          "device"))
-    layout = FrameLayout(**_apply_keys(raw.get("frame", {}), _FRAME_KEYS,
-                                       "frame"))
-    table = _ocv_table(raw["ocv_table"])
-    esc = raw.get("esc", {})
-    return RunConfig(profile=profile, layout=layout, ocv_table=table,
-                     capacitance_f=esc.get("capacitance_f"),
-                     initial_voltage_v=esc.get("initial_voltage_v"),
-                     brownout_v=raw.get("brownout_v", 1.8),
-                     include_final_gap=raw.get("include_final_gap", True))
+    The defaults are those of ``DeviceProfile``, ``FrameLayout``,
+    ``OcvTable.p2110()`` and ``burst.DEFAULT_BROWNOUT_V``. The ``device``
+    and ``frame`` sections overlay their record's defaults key by key;
+    every other value, a user ``ocv_table`` included, replaces its default
+    whole. Unknown keys are rejected; ``description`` is ignored."""
+    if path is None:
+        return RunConfig()
+    with open(path) as handle:
+        user = json.load(handle)
+    if not isinstance(user, dict):
+        raise ValueError(f"{path}: config must be a JSON object, "
+                         f"got {type(user).__name__}")
+    _check_keys(user, _TOP_KEYS, "top-level config")
+    for key, value in user.items():
+        if key in _SECTIONS and not isinstance(value, dict):
+            raise ValueError(f"{path}: config section {key!r} must be an "
+                             f"object, got {type(value).__name__}")
+        if key == "esc":
+            _check_keys(value, _ESC_KEYS, "esc config")
+
+    fields = {key: user[key] for key in ("brownout_v", "include_final_gap")
+              if key in user}
+    fields.update(user.get("esc", {}))
+    fields["profile"] = DeviceProfile(**_apply_keys(user.get("device", {}),
+                                                    _DEVICE_KEYS, "device"))
+    fields["layout"] = FrameLayout(**_apply_keys(user.get("frame", {}),
+                                                 _FRAME_KEYS, "frame"))
+    if "ocv_table" in user:
+        fields["ocv_table"] = _ocv_table(user["ocv_table"])
+    return RunConfig(**fields)
 
 
 def fmt6(value) -> str:

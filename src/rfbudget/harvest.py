@@ -225,8 +225,3 @@ def fit_r_known_voc(samples: Sequence[VoltageSample], capacitance: float,
     if not result.success:
         raise FitError(f"impedance fit did not converge: {result.message}")
     return ChargeModel(v_oc=v_oc, r_eq=float(result.x[0]), capacitance=capacitance)
-
-
-def ocv_from_power(table: OcvTable, p_dbm: float) -> float:
-    """Open-circuit voltage (V) for an incident power, via ``table``."""
-    return table.voltage_at(p_dbm)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from .burst import BurstReport, burst_energy, DEFAULT_BROWNOUT_V, max_packets
 from .device import DeviceProfile, EscState, FrameLayout, PacketPlan, finite
-from .errors import UnreachableVoltageError
 from .harvest import ChargeModel, time_to_voltage
 from .packet import packet_airtime, wakeup_time
 
@@ -37,10 +36,7 @@ def recharge_plan(model: ChargeModel, v_low: float, v_high: float) -> float:
     model is assumed to apply regardless of the starting voltage.
     """
     finite("v_low", v_low, ge=0)
-    if finite("v_high", v_high, ge=v_low) >= model.v_oc:
-        raise UnreachableVoltageError(
-            f"target {v_high} V is not below the open-circuit voltage "
-            f"{model.v_oc} V")
+    finite("v_high", v_high, ge=v_low)
     return time_to_voltage(model, v_high) - time_to_voltage(model, v_low)
 
 

@@ -14,8 +14,8 @@ from rfbudget import (ChargeModel, DeviceProfile, EscDepletedError, EscState,
                       FrameLayout, OcvTable, PacketPlan, VoltageSample,
                       bit_energy_closed_form, bit_energy_oracle, burst_energy,
                       charge_voltage, fit_charge_model, fit_sigmoid,
-                      first_bit_energy, max_packets, ocv_from_power,
-                      packet_airtime, prediction_error, segment_energy,
+                      first_bit_energy, max_packets, packet_airtime,
+                      prediction_error, segment_energy,
                       tx_power_from_current, wakeup_time)
 from conftest import (ALPHA1, ALPHA2, ALPHA3, ALPHA4, REF_CAP_F,
                       REF_CURRENT_MA, REF_RATE_BPS, REF_TX_DBM, REF_V0)
@@ -278,7 +278,7 @@ def test_criterion_10_ocv_interpolation():
              (-5.0, 2.6), (-3.0, 3.2), (-2.0, 4.0))
     assert table.points == knots
     for p_dbm, v_oc in knots:
-        assert ocv_from_power(table, p_dbm) == pytest.approx(v_oc, abs=1e-12)
+        assert table.voltage_at(p_dbm) == pytest.approx(v_oc, abs=1e-12)
     grid = np.linspace(-14.0, -2.0, 1201)
-    values = [ocv_from_power(table, float(p)) for p in grid]
+    values = [table.voltage_at(float(p)) for p in grid]
     assert all(b >= a for a, b in zip(values, values[1:]))

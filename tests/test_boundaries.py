@@ -1,5 +1,6 @@
 """Every public function and record rejects a non-finite or mistyped
-number, and a fractional count, with a ValueError.
+number, and a fractional count or one too large for a float, with a
+ValueError.
 
 The table gives each callable a valid set of keyword arguments. Every
 argument whose valid value is a float is a number; every one whose valid
@@ -21,7 +22,7 @@ from rfbudget import (CalibrationPoint, ChargeModel, DeviceProfile, EscState,
                       current_from_tx_power, cycle_report, first_bit_energy,
                       fit_charge_model, fit_r_known_voc, fit_sigmoid,
                       interpacket_overhead, load_config, max_packets,
-                      ocv_from_power, packet_airtime, protocol_overhead,
+                      packet_airtime, protocol_overhead,
                       recharge_plan, segment_energy, sleep_energy,
                       system_power, time_to_voltage, tx_power_from_current,
                       wakeup_energy, wakeup_time)
@@ -71,7 +72,6 @@ BOUNDARIES = [
     (ocv_points, dict(p_dbm=-2.0, v_oc_v=4.0)),
     (TABLE.voltage_at, dict(p_dbm=-7.0)),
     (TABLE.clamps, dict(p_dbm=-7.0)),
-    (ocv_from_power, dict(table=TABLE, p_dbm=-7.0)),
     (charge_voltage, dict(model=MODEL, t=0.5)),
     (time_to_voltage, dict(model=MODEL, v_target=2.0)),
     (fit_charge_model, dict(samples=SAMPLES, capacitance=REF_CAP_F)),
@@ -111,9 +111,10 @@ CASES = [(func, base, arg) for func, base in BOUNDARIES
 IDS = [f"{func.__qualname__}-{arg}" for func, _, arg in CASES]
 
 NOT_NUMBERS = [math.nan, math.inf, -math.inf, True, "1"]
-# An integer too large for a float is a count but not a finite number.
+# An integer too large for a float is neither a finite number nor a count:
+# every count ends up in float arithmetic.
 BAD_NUMBERS = NOT_NUMBERS + [10**400]
-BAD_COUNTS = NOT_NUMBERS + [2.5]
+BAD_COUNTS = NOT_NUMBERS + [2.5, 10**400]
 
 
 @pytest.mark.parametrize("func, base",

@@ -1,13 +1,20 @@
+import argparse
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rfbudget import (ChargeModel, TraceParseError, charge_voltage,
-                      load_calibration, load_config, load_ocv_table,
-                      load_plan, load_voltage_trace)
-from rfbudget.cli import main
+from rfbudget import (ChargeModel, DeviceProfile, FrameLayout, OcvTable,
+                      TraceParseError, charge_voltage, load_calibration,
+                      load_config, load_ocv_table, load_plan,
+                      load_voltage_trace)
+from rfbudget.burst import DEFAULT_BROWNOUT_V
+from rfbudget.cli import build_parser, main
 from conftest import ALPHA1, ALPHA2, ALPHA3, ALPHA4
 
 
@@ -133,6 +140,25 @@ def test_user_config_rejects_unknown_key(tmp_path):
     user = tmp_path / "config.json"
     user.write_text(json.dumps({"device": {"wake_slope": 0.004}}))
     with pytest.raises(ValueError, match="unknown device config key"):
+        load_config(user)
+
+
+def test_default_config_is_the_record_defaults():
+    config = load_config()
+    assert config.profile == DeviceProfile()
+    assert config.layout == FrameLayout()
+    assert config.ocv_table.points == OcvTable.p2110().points
+    assert config.brownout_v == DEFAULT_BROWNOUT_V
+    assert config.include_final_gap is True
+    assert config.capacitance_f is None
+    assert config.initial_voltage_v is None
+
+
+def test_user_config_names_the_first_bad_value_in_file_order(tmp_path):
+    user = tmp_path / "config.json"
+    user.write_text(json.dumps({"device": {"txrx_on_current_ma": "a",
+                                           "wake_slope_ms_per_octet": "b"}}))
+    with pytest.raises(ValueError, match="'txrx_on_current_ma'"):
         load_config(user)
 
 
@@ -579,3 +605,75 @@ def calibration_file(tmp_path, rows):
     path = tmp_path / "cal.csv"
     path.write_text("c_c_ma,p_t_dbm\n" + rows)
     return str(path)
+
+
+# every numeric flag -----------------------------------------------------------
+
+def numeric_flags():
+    """(subcommand, option) for each float or int flag of the parser."""
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return [(command, action.option_strings[0])
+            for command, parser in subparsers.choices.items()
+            for action in parser._actions if action.type in (float, int)]
+
+
+NUMERIC_FLAGS = numeric_flags()
+BAD_FLAG_VALUES = ["nan", "inf", "-inf", "1" + "0" * 400, "0", "-1"]
+
+
+@pytest.fixture(scope="module")
+def valid_argvs(tmp_path_factory):
+    """One valid argv per subcommand as {option: value}; packet-cost has one
+    per member of its exclusive current/power group."""
+    directory = tmp_path_factory.mktemp("cli")
+    config = sigmoid_config(directory)
+    store = {"--capacitance-f": "0.00012", "--initial-v": "2.5"}
+    return [
+        ("fit-charge", {"--trace": trace_file(
+            directory, "0.0,0.0\n0.5,1.0\n1.0,1.6\n2.0,2.3\n"),
+            "--capacitance-f": "0.0022", "--v-oc": "3.0"}),
+        ("predict-charge", {"--v-oc": "3", "--r-ohm": "800",
+                            "--capacitance-f": "0.00012", "--horizon-s": "1",
+                            "--points": "11"}),
+        ("ocv", {"--p-dbm": "-5"}),
+        ("packet-cost", {"--msdu-octets": "10", "--data-rate-bps": "250000",
+                         "--vcc-v": "2.5", "--current-ma": "10"}),
+        ("packet-cost", {"--config": config, "--msdu-octets": "10",
+                         "--data-rate-bps": "250000", "--vcc-v": "2.5",
+                         "--tx-power-dbm": "0"}),
+        ("simulate-burst", {"--config": config, "--plan": plan_file(
+            directory, [(10, 0.0, 250000)] * 2), **store,
+            "--brownout-v": "1.8"}),
+        ("plan-cycle", {"--config": config, "--v-oc": "3.0", "--r-ohm": "800",
+                        **store, "--cutoff-v": "1.8", "--msdu-octets": "106",
+                        "--tx-power-dbm": "3.5", "--data-rate-bps": "250000",
+                        "--cap-n": "8", "--brownout-v": "1.8"}),
+    ]
+
+
+@pytest.mark.parametrize("command, option", NUMERIC_FLAGS,
+                         ids=[command + option
+                              for command, option in NUMERIC_FLAGS])
+@settings(deadline=None)
+@given(value=st.sampled_from(BAD_FLAG_VALUES))
+def test_cli_numeric_flags_end_in_a_report_or_one_error_line(
+        valid_argvs, command, option, value):
+    base = next(argv for name, argv in valid_argvs
+                if name == command and option in argv)
+    argv = [command] + [f"{key}={val}" for key, val in
+                        {**base, option: value}.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            status = exc.code
+    assert status in (0, 1, 2), err.getvalue()
+    if status == 0:
+        json.loads(out.getvalue(),
+                   parse_constant=lambda name: pytest.fail(f"{name} in report"))
+    if status == 1:
+        assert out.getvalue() == ""
+        assert [line.startswith("error:")
+                for line in err.getvalue().splitlines()].count(True) == 1

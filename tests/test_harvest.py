@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from rfbudget import (ChargeModel, EscState, FitError, OcvTable,
                       UnreachableVoltageError, VoltageSample, charge_voltage,
-                      fit_charge_model, fit_r_known_voc, ocv_from_power,
-                      prediction_error, stored_energy, time_to_voltage)
+                      fit_charge_model, fit_r_known_voc, prediction_error,
+                      stored_energy, time_to_voltage)
 
 SMALL_CAP_MODEL = ChargeModel(v_oc=2.6, r_eq=170.6, capacitance=2.2e-3)
 LARGE_CAP_MODEL = ChargeModel(v_oc=3.2, r_eq=3.7e3, capacitance=50e-3)
@@ -218,22 +218,22 @@ def test_prediction_error_rejects_empty():
         prediction_error(SMALL_CAP_MODEL, [])
 
 
-# ocv_from_power ------------------------------------------------------------
+# OcvTable.voltage_at -------------------------------------------------------
 
 def test_ocv_exact_at_knots(p2110_table):
     for p_dbm, v_oc in p2110_table.points:
-        assert ocv_from_power(p2110_table, p_dbm) == pytest.approx(v_oc, abs=1e-12)
+        assert p2110_table.voltage_at(p_dbm) == pytest.approx(v_oc, abs=1e-12)
 
 
 def test_ocv_midpoint_interpolation(p2110_table):
-    assert ocv_from_power(p2110_table, -12.65) == pytest.approx(0.65, rel=1e-12)
-    assert ocv_from_power(p2110_table, -14.0) == 0.4
-    assert ocv_from_power(p2110_table, -7.0) == 2.0
+    assert p2110_table.voltage_at(-12.65) == pytest.approx(0.65, rel=1e-12)
+    assert p2110_table.voltage_at(-14.0) == 0.4
+    assert p2110_table.voltage_at(-7.0) == 2.0
 
 
 def test_ocv_clamps_outside_range(p2110_table):
-    assert ocv_from_power(p2110_table, -25.0) == 0.4
-    assert ocv_from_power(p2110_table, 0.0) == 4.0
+    assert p2110_table.voltage_at(-25.0) == 0.4
+    assert p2110_table.voltage_at(0.0) == 4.0
     assert p2110_table.clamps(-25.0)
     assert p2110_table.clamps(0.0)
     assert not p2110_table.clamps(-7.0)
@@ -242,7 +242,7 @@ def test_ocv_clamps_outside_range(p2110_table):
 
 def test_ocv_monotone_nondecreasing(p2110_table):
     grid = np.linspace(-20.0, 2.0, 400)
-    values = [ocv_from_power(p2110_table, p) for p in grid]
+    values = [p2110_table.voltage_at(p) for p in grid]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
