@@ -20,19 +20,22 @@ step-by-step implementation of the same recursion used to cross-check the
 closed form and the burst accounting.
 """
 
+from __future__ import annotations
+
 import array
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .device import (DeviceProfile, EscState, FrameLayout, PacketPlan,
                      count, finite)
 from .errors import BrownoutWarning, EscDepletedError
 from .packet import interpacket_overhead, sleep_energy, wakeup_energy
 from .radiopower import current_from_tx_power
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BROWNOUT_V = 1.8
 
@@ -217,6 +220,8 @@ def bit_energy_oracle(v_start: float, supply_current_ma: float,
     finite("capacitance", capacitance, gt=0)
     finite("data_rate", data_rate, gt=0)
     finite("supply_current_ma", supply_current_ma, ge=0)
+    import numpy as np
+
     charge = supply_current_ma * 1e-3 / data_rate
     energies = np.empty(n_bits)
     v = v_start
@@ -303,6 +308,8 @@ def _supply_currents(plans: Sequence[PacketPlan], profile: DeviceProfile,
 def _sample_indices(frame_bits: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """1-based packet index and bit position (both int32) of every bit of
     consecutive frames of ``frame_bits`` bits each."""
+    import numpy as np
+
     bits = np.asarray(frame_bits, dtype=np.int64)
     packet = np.repeat(np.arange(1, bits.size + 1, dtype=np.int32), bits)
     starts = np.repeat(np.cumsum(bits) - bits, bits)
@@ -375,6 +382,10 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
             f"supply voltage reached {v_min:.3f} V, below the {brownout_v:.2f} V "
             "brown-out level; the device constants are unvalidated down there",
             BrownoutWarning, stacklevel=2)
+
+    # numpy is loaded here, not at module import: it is most of the
+    # package's import time, and only the code that builds arrays uses it.
+    import numpy as np
 
     sample_packet, sample_bit = _sample_indices(
         [layout.frame_bits(plan.msdu_octets) for plan in plans]

@@ -14,7 +14,7 @@ import sys
 import warnings
 from dataclasses import replace
 
-from .burst import burst_energy
+from .burst import DEFAULT_BROWNOUT_V, burst_energy
 from .device import DeviceProfile, EscState, PacketPlan, count, finite
 from .errors import RfBudgetError
 from .fileio import (RunConfig, load_calibration, load_config,
@@ -288,9 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="equivalent impedance of the fitted charge model")
     p.add_argument("--capacitance-f", type=float)
     p.add_argument("--initial-v", type=float)
-    p.add_argument("--cutoff-v", type=float, default=1.8,
-                   help="lowest usable store voltage (default 1.8, the "
-                        "device's minimum operating voltage)")
+    p.add_argument("--cutoff-v", type=float, default=DEFAULT_BROWNOUT_V,
+                   help="lowest usable store voltage (default "
+                        f"{DEFAULT_BROWNOUT_V}, the device's minimum "
+                        "operating voltage)")
     p.add_argument("--msdu-octets", type=int, required=True)
     p.add_argument("--tx-power-dbm", type=float, required=True)
     p.add_argument("--data-rate-bps", type=float, required=True)
@@ -315,16 +316,16 @@ def main(argv=None) -> int:
             warnings.showwarning = _print_warning
             config = load_config(args.config)
             record = args.func(args, config)
+        rendered = (render_record_json(record) if args.format == "json"
+                    else render_record_csv(record))
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(rendered)
+        else:
+            sys.stdout.write(rendered)
     except (RfBudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rendered = (render_record_json(record) if args.format == "json"
-                else render_record_csv(record))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(rendered)
-    else:
-        sys.stdout.write(rendered)
     return 0
 
 

@@ -13,10 +13,10 @@ varies strongly with incident RF power; ``OcvTable`` interpolates measured
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .device import EscState, finite
 from .errors import FitError, UnreachableVoltageError
@@ -60,7 +60,8 @@ class VoltageSample:
 class OcvTable:
     """Measured open-circuit voltage versus incident RF power.
 
-    Points must be strictly increasing in both coordinates. Lookups
+    Points must be strictly increasing in both coordinates, and the step
+    between neighbours must have a finite span and slope. Lookups
     interpolate linearly in the (dBm, V) plane and clamp to the end values
     outside the measured range; ``clamps`` reports whether a query falls
     outside.
@@ -76,9 +77,13 @@ class OcvTable:
                 raise ValueError(
                     "OCV table points must be strictly increasing in both "
                     f"coordinates; offending pair ({p0}, {v0}) -> ({p1}, {v1})")
+            # A finite span and slope keep every interpolated value finite.
+            if not (math.isfinite(p1 - p0)
+                    and math.isfinite((v1 - v0) / (p1 - p0))):
+                raise ValueError(
+                    "OCV table step overflows a float; offending pair "
+                    f"({p0}, {v0}) -> ({p1}, {v1})")
         self.points = pts
-        self._p = np.array([p for p, _ in pts])
-        self._v = np.array([v for _, v in pts])
 
     @classmethod
     def p2110(cls) -> "OcvTable":
@@ -87,7 +92,19 @@ class OcvTable:
                     (-5.0, 2.6), (-3.0, 3.2), (-2.0, 4.0)])
 
     def voltage_at(self, p_dbm: float) -> float:
-        return float(np.interp(finite("p_dbm", p_dbm), self._p, self._v))
+        # numpy.interp's arithmetic, so every result equals it bit for bit:
+        # end values outside the range, the knot value on a knot, and
+        # slope * (x - p0) + v0 in between.
+        x = float(finite("p_dbm", p_dbm))
+        pts = self.points
+        j = bisect_right(pts, x, key=itemgetter(0)) - 1
+        if j < 0:
+            return pts[0][1]
+        p0, v0 = pts[j]
+        if j == len(pts) - 1 or p0 == x:
+            return v0
+        p1, v1 = pts[j + 1]
+        return (v1 - v0) / (p1 - p0) * (x - p0) + v0
 
     def clamps(self, p_dbm: float) -> bool:
         """True when ``p_dbm`` falls outside the measured range."""
@@ -133,12 +150,6 @@ def prediction_error(model: ChargeModel, samples: Sequence[VoltageSample]) -> fl
     return sum(abs(charge_voltage(model, s.t) - s.v) for s in samples) / len(samples)
 
 
-def _as_arrays(samples: Sequence[VoltageSample]) -> tuple[np.ndarray, np.ndarray]:
-    ts = np.array([s.t for s in samples], dtype=float)
-    vs = np.array([s.v for s in samples], dtype=float)
-    return ts, vs
-
-
 def fit_charge_model(samples: Sequence[VoltageSample], capacitance: float) -> ChargeModel:
     """Least-squares fit of (v_oc, r_eq) to a charging trace.
 
@@ -152,7 +163,13 @@ def fit_charge_model(samples: Sequence[VoltageSample], capacitance: float) -> Ch
     finite("capacitance", capacitance, gt=0)
     if len(samples) < 3:
         raise FitError(f"need at least 3 samples to fit, got {len(samples)}")
-    ts, vs = _as_arrays(samples)
+    # numpy and scipy.optimize are loaded here, not at module import: they
+    # are most of the package's import time, and only the fits and the
+    # burst sample arrays use them.
+    import numpy as np
+
+    ts = np.array([s.t for s in samples], dtype=float)
+    vs = np.array([s.v for s in samples], dtype=float)
     if len(np.unique(ts)) < 2:
         raise FitError("need samples at >= 2 distinct times")
     if float(np.ptp(vs)) == 0.0:
@@ -176,8 +193,6 @@ def fit_charge_model(samples: Sequence[VoltageSample], capacitance: float) -> Ch
         v_oc, r = params
         return v_oc * -np.expm1(-ts / (r * capacitance)) - vs
 
-    # Loaded here, not at module import: scipy.optimize is most of the
-    # package's import time, and only the fits use it.
     from scipy.optimize import least_squares
 
     result = least_squares(residual, x0=[v_oc0, r0],
@@ -212,7 +227,10 @@ def fit_r_known_voc(samples: Sequence[VoltageSample], capacitance: float,
     if len(estimates) == 1 and len(samples) == 1:
         return ChargeModel(v_oc=v_oc, r_eq=estimates[0], capacitance=capacitance)
 
-    ts, vs = _as_arrays(samples)
+    import numpy as np
+
+    ts = np.array([s.t for s in samples], dtype=float)
+    vs = np.array([s.v for s in samples], dtype=float)
     r0 = float(np.median(estimates))
 
     def residual(params):

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .device import DeviceProfile, finite
 from .errors import FitError
 
@@ -90,6 +88,11 @@ def fit_sigmoid(points: Sequence[CalibrationPoint], *,
     if len(points) < 6:
         raise FitError(f"need at least 6 calibration points, got {len(points)}")
     pts = sorted(points, key=lambda p: p.supply_current)
+    # numpy and scipy.optimize are loaded here, not at module import: they
+    # are most of the package's import time, and only the fits and the
+    # burst sample arrays use them.
+    import numpy as np
+
     cs = np.array([p.supply_current for p in pts])
     ps = np.array([p.tx_power for p in pts])
     drops = np.nonzero(np.diff(ps) < -monotone_tol)[0]
@@ -120,8 +123,6 @@ def fit_sigmoid(points: Sequence[CalibrationPoint], *,
         x = np.clip(a3 * (cs - a4), -_EXP_CLIP, _EXP_CLIP)
         return a1 - a2 / (np.exp(x) + 1.0) - ps
 
-    # Loaded here, not at module import: scipy.optimize is most of the
-    # package's import time, and only the fits use it.
     from scipy.optimize import least_squares
 
     result = least_squares(residual, x0=[a1_0, a2_0, a3_0, a4_0],

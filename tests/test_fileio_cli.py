@@ -413,6 +413,20 @@ def test_cli_reports_are_deterministic(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_cli_unwritable_out_is_one_error_line(tmp_path, capsys):
+    status, out, err = run_cli(capsys, [
+        "ocv", "--p-dbm", "-5", "--out", str(tmp_path / "missing" / "x")])
+    assert (status, out) == (1, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_cli_plan_cycle_cutoff_defaults_to_the_brownout_level():
+    args = build_parser().parse_args([
+        "plan-cycle", "--v-oc", "3", "--r-ohm", "800", "--msdu-octets", "10",
+        "--tx-power-dbm", "0", "--data-rate-bps", "250000"])
+    assert args.cutoff_v == DEFAULT_BROWNOUT_V
+
+
 def test_cli_csv_format(capsys):
     status, out, _ = run_cli(capsys, [
         "ocv", "--p-dbm", "-7", "--format", "csv"])
@@ -457,6 +471,15 @@ def test_cli_config_ocv_table_needs_both_columns(tmp_path, capsys):
                                         "--p-dbm", "-5"])
     assert status == 0, err
     assert json.loads(out)["v_oc_v"] == 1.5
+
+
+def test_cli_ocv_table_whose_step_overflows_is_an_error(tmp_path, capsys):
+    table = tmp_path / "big.csv"
+    table.write_text("p_dbm,v_oc_v\n-1e308,-1e308\n1e308,1e308\n")
+    status, out, err = run_cli(capsys, ["ocv", "--p-dbm", "0",
+                                        "--table", str(table)])
+    assert (status, out) == (1, "")
+    assert err.startswith("error:") and "overflows" in err
 
 
 @pytest.mark.parametrize("body", [[1, 2], {"device": []}])

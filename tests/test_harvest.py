@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rfbudget import (ChargeModel, EscState, FitError, OcvTable,
@@ -253,3 +253,64 @@ def test_ocv_table_rejects_non_monotone():
         OcvTable([(-14.0, 0.4), (-14.0, 0.9)])
     with pytest.raises(ValueError):
         OcvTable([])
+
+
+@pytest.mark.parametrize("points", [
+    [(-1e308, -1e308), (1e308, 1e308)],   # both spans overflow
+    [(-3.0, -1.5e308), (-1.0, -1e308), (1.0, 1e308)],  # a voltage span
+    [(0.0, 0.0), (1e-308, 1e10)],         # the slope
+], ids=["power-and-voltage", "voltage", "slope"])
+def test_ocv_table_rejects_a_step_that_overflows(points):
+    (p0, v0), (p1, v1) = points[-2:]
+    with pytest.raises(ValueError, match="overflows") as excinfo:
+        OcvTable(points)
+    assert f"({p0}, {v0}) -> ({p1}, {v1})" in str(excinfo.value)
+
+
+# OcvTable.voltage_at equals numpy.interp bit for bit ---------------------------
+
+def assert_equals_numpy_interp(table, queries):
+    ps = [p for p, _ in table.points]
+    vs = [v for _, v in table.points]
+    for x in queries:
+        assert table.voltage_at(x) == float(np.interp(x, ps, vs)), x
+        assert table.clamps(x) == (x < ps[0] or x > ps[-1]), x
+
+
+def knots_and_neighbours(table):
+    """Every knot, its two float neighbours, and points beyond both ends."""
+    ps = [p for p, _ in table.points]
+    queries = [ps[0] - 1e3, ps[0] - 1.0, ps[-1] + 1.0, ps[-1] + 1e3]
+    for p in ps:
+        queries += [math.nextafter(p, -math.inf), p,
+                    math.nextafter(p, math.inf)]
+    return queries
+
+
+def test_ocv_equals_numpy_interp_on_p2110(p2110_table):
+    queries = knots_and_neighbours(p2110_table)
+    queries += [float(p) for p in np.linspace(-16.0, 0.0, 1601)]
+    assert_equals_numpy_interp(p2110_table, queries)
+
+
+MODERATE = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@st.composite
+def ocv_points(draw):
+    """1-8 points, strictly increasing in both coordinates."""
+    n = draw(st.integers(1, 8))
+    coordinate = st.lists(MODERATE, min_size=n, max_size=n, unique=True)
+    return list(zip(sorted(draw(coordinate)), sorted(draw(coordinate))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=ocv_points(), extra=st.lists(MODERATE, max_size=4))
+@example(points=[(-5.0, 2.6)], extra=[-100.0, 100.0])
+def test_ocv_equals_numpy_interp_on_any_table(points, extra):
+    # The table rejects a step whose slope overflows; that needs two
+    # powers closer together than any measured table has.
+    assume(all(math.isfinite((v1 - v0) / (p1 - p0))
+               for (p0, v0), (p1, v1) in zip(points, points[1:])))
+    table = OcvTable(points)
+    assert_equals_numpy_interp(table, knots_and_neighbours(table) + extra)

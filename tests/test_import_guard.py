@@ -1,7 +1,8 @@
-"""scipy is loaded only when a fit runs.
+"""scipy is loaded only when a fit runs, and numpy only when an array is
+built: by a burst's sample arrays, the planner's burst or a fit.
 
 Each check runs in a fresh interpreter, because this test session has
-long since imported scipy through the fit tests.
+long since imported numpy and scipy through the other tests.
 """
 
 import json
@@ -19,6 +20,8 @@ import contextlib, io, json, sys
 import rfbudget, rfbudget.cli
 from rfbudget.cli import main
 
+rfbudget.load_config()
+
 d = sys.argv[1]
 sig = d + "/sig.json"
 with open(sig, "w") as f:
@@ -27,12 +30,14 @@ with open(sig, "w") as f:
 with open(d + "/plan.csv", "w") as f:
     f.write("msdu_octets,p_t_dbm,r_d_bps\\n106,3.5,250000\\n10,0,250000\\n")
 store = ["--capacitance-f", "0.00012", "--initial-v", "2.5"]
-runs = [
+scalar_runs = [
     ["ocv", "--p-dbm", "-7"],
     ["predict-charge", "--v-oc", "3", "--r-ohm", "800",
      "--capacitance-f", "0.00012", "--horizon-s", "1"],
     ["packet-cost", "--msdu-octets", "42", "--data-rate-bps", "250000",
      "--vcc-v", "2.5", "--current-ma", "13"],
+]
+array_runs = [
     ["simulate-burst", "--config", sig, "--plan", d + "/plan.csv", *store],
     ["plan-cycle", "--config", sig, "--v-oc", "3", "--r-ohm", "800", *store,
      "--msdu-octets", "106", "--tx-power-dbm", "3.5",
@@ -42,13 +47,16 @@ helps = [["--help"]] + [[name, "--help"] for name in (
     "fit-charge", "predict-charge", "ocv", "fit-power", "packet-cost",
     "simulate-burst", "plan-cycle")]
 with contextlib.redirect_stdout(io.StringIO()):
-    statuses = [main(argv) for argv in runs]
+    statuses = [main(argv) for argv in scalar_runs]
     for argv in helps:
         try:
             main(argv)
         except SystemExit as exc:
             statuses.append(exc.code)
+    numpy_before_arrays = "numpy" in sys.modules
+    statuses += [main(argv) for argv in array_runs]
 print(json.dumps({"statuses": statuses,
+                  "numpy_before_arrays": numpy_before_arrays,
                   "scipy": sorted(m for m in sys.modules
                                   if m.split(".")[0] == "scipy")}))
 """ % (ALPHA1, ALPHA2, ALPHA3, ALPHA4)
@@ -88,8 +96,10 @@ def run_fresh(code, tmp_path):
 
 def test_non_fit_subcommands_and_help_do_not_load_scipy(tmp_path):
     result = run_fresh(NON_FIT, tmp_path)
-    # five runs, then the top-level help and each subcommand's help
-    assert result["statuses"] == [0] * (5 + 8)
+    # three scalar runs, the top-level help and each subcommand's help,
+    # then the two runs that build arrays
+    assert result["statuses"] == [0] * (3 + 8 + 2)
+    assert result["numpy_before_arrays"] is False
     assert result["scipy"] == []
 
 
