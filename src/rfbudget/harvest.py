@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 from .device import EscState, finite
 from .errors import FitError, UnreachableVoltageError
+from .lsq import least_squares
 
 # Sanity ceiling for ESC voltages; small harvesters stay far below this.
 MAX_PHYSICAL_VOC = 10.0
@@ -156,16 +157,16 @@ def fit_charge_model(samples: Sequence[VoltageSample], capacitance: float) -> Ch
     Needs at least three samples at two or more distinct times, with some
     voltage variation. Seeds v_oc slightly above the highest measured
     voltage and r_eq from a closed-form inversion of the earliest usable
-    sample, then refines with a bounded trust-region least-squares solve.
+    sample, then refines with a bounded Levenberg-Marquardt solve.
 
     Raises FitError when the trace cannot constrain the fit.
     """
     finite("capacitance", capacitance, gt=0)
     if len(samples) < 3:
         raise FitError(f"need at least 3 samples to fit, got {len(samples)}")
-    # numpy and scipy.optimize are loaded here, not at module import: they
-    # are most of the package's import time, and only the fits and the
-    # burst sample arrays use them.
+    # numpy is loaded here, not at module import: it is most of the
+    # package's import time, and only the fits and the burst sample arrays
+    # use it.
     import numpy as np
 
     ts = np.array([s.t for s in samples], dtype=float)
@@ -193,13 +194,13 @@ def fit_charge_model(samples: Sequence[VoltageSample], capacitance: float) -> Ch
         v_oc, r = params
         return v_oc * -np.expm1(-ts / (r * capacitance)) - vs
 
-    from scipy.optimize import least_squares
+    def jacobian(params):
+        v_oc, r = params
+        u = -ts / (r * capacitance)
+        return np.column_stack((-np.expm1(u), v_oc * np.exp(u) * u / r))
 
-    result = least_squares(residual, x0=[v_oc0, r0],
-                           bounds=([1e-12, 1e-12], [np.inf, np.inf]))
-    if not result.success:
-        raise FitError(f"charge-model fit did not converge: {result.message}")
-    v_oc, r_eq = result.x
+    v_oc, r_eq = least_squares(residual, jacobian, [v_oc0, r0],
+                               [1e-12, 1e-12], what="charge-model")
     return ChargeModel(v_oc=float(v_oc), r_eq=float(r_eq), capacitance=capacitance)
 
 
@@ -237,9 +238,11 @@ def fit_r_known_voc(samples: Sequence[VoltageSample], capacitance: float,
         (r,) = params
         return v_oc * -np.expm1(-ts / (r * capacitance)) - vs
 
-    from scipy.optimize import least_squares
+    def jacobian(params):
+        (r,) = params
+        u = -ts / (r * capacitance)
+        return (v_oc * np.exp(u) * u / r)[:, None]
 
-    result = least_squares(residual, x0=[r0], bounds=([1e-12], [np.inf]))
-    if not result.success:
-        raise FitError(f"impedance fit did not converge: {result.message}")
-    return ChargeModel(v_oc=v_oc, r_eq=float(result.x[0]), capacitance=capacitance)
+    (r_eq,) = least_squares(residual, jacobian, [r0], [1e-12],
+                            what="impedance")
+    return ChargeModel(v_oc=v_oc, r_eq=float(r_eq), capacitance=capacitance)

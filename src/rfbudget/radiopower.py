@@ -18,6 +18,7 @@ from typing import NamedTuple, Sequence
 
 from .device import DeviceProfile, finite
 from .errors import FitError
+from .lsq import least_squares
 
 # exp() overflows doubles near 710; beyond this the sigmoid term is ~0 anyway
 _EXP_CLIP = 700.0
@@ -88,9 +89,9 @@ def fit_sigmoid(points: Sequence[CalibrationPoint], *,
     if len(points) < 6:
         raise FitError(f"need at least 6 calibration points, got {len(points)}")
     pts = sorted(points, key=lambda p: p.supply_current)
-    # numpy and scipy.optimize are loaded here, not at module import: they
-    # are most of the package's import time, and only the fits and the
-    # burst sample arrays use them.
+    # numpy is loaded here, not at module import: it is most of the
+    # package's import time, and only the fits and the burst sample arrays
+    # use it.
     import numpy as np
 
     cs = np.array([p.supply_current for p in pts])
@@ -123,12 +124,17 @@ def fit_sigmoid(points: Sequence[CalibrationPoint], *,
         x = np.clip(a3 * (cs - a4), -_EXP_CLIP, _EXP_CLIP)
         return a1 - a2 / (np.exp(x) + 1.0) - ps
 
-    from scipy.optimize import least_squares
+    def jacobian(params):
+        a1, a2, a3, a4 = params
+        raw = a3 * (cs - a4)
+        e = np.exp(np.clip(raw, -_EXP_CLIP, _EXP_CLIP))
+        q = 1.0 / (e + 1.0)
+        # d(residual)/d(exponent) = a2 e q^2, grouped so that e q <= 1 keeps
+        # it finite; zero where the clip holds the exponent fixed.
+        dx = np.where(np.abs(raw) < _EXP_CLIP, a2 * (e * q) * q, 0.0)
+        return np.column_stack((np.ones_like(cs), -q, dx * (cs - a4), -dx * a3))
 
-    result = least_squares(residual, x0=[a1_0, a2_0, a3_0, a4_0],
-                           bounds=([-np.inf, 1e-9, 1e-9, -np.inf],
-                                   [np.inf, np.inf, np.inf, np.inf]))
-    if not result.success:
-        raise FitError(f"sigmoid fit did not converge: {result.message}")
-    a1, a2, a3, a4 = (float(x) for x in result.x)
+    fitted = least_squares(residual, jacobian, [a1_0, a2_0, a3_0, a4_0],
+                           [-np.inf, 1e-9, 1e-9, -np.inf], what="sigmoid")
+    a1, a2, a3, a4 = (float(x) for x in fitted)
     return SigmoidCoefficients(a1, a2, a3, a4)

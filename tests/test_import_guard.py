@@ -1,4 +1,4 @@
-"""scipy is loaded only when a fit runs, and numpy only when an array is
+"""No subcommand loads scipy, and numpy is loaded only when an array is
 built: by a burst's sample arrays, the planner's burst or a fit.
 
 Each check runs in a fresh interpreter, because this test session has
@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 NON_FIT = """
 import contextlib, io, json, sys
-import rfbudget, rfbudget.cli
+import rfbudget, rfbudget.cli, rfbudget.lsq
 from rfbudget.cli import main
 
 rfbudget.load_config()
@@ -76,12 +76,15 @@ with open(d + "/cal.csv", "w") as f:
     for i in range(16):
         c = 6.0 + i
         f.write(f"{c},{4.0 - 40.0 / (math.exp(0.5 * (c - 14.0)) + 1):.9f}\\n")
-with contextlib.redirect_stdout(io.StringIO()):
-    statuses = [main(["fit-charge", "--trace", d + "/trace.csv",
-                      "--capacitance-f", "0.00012"]),
+trace = ["fit-charge", "--trace", d + "/trace.csv", "--capacitance-f", "0.00012"]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    statuses = [main(trace), main(trace + ["--v-oc", "3"]),
                 main(["fit-power", "--calibration", d + "/cal.csv"])]
 print(json.dumps({"statuses": statuses,
-                  "scipy_optimize": "scipy.optimize" in sys.modules}))
+                  "reports": out.getvalue().count("{"),
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "scipy")}))
 """
 
 
@@ -103,7 +106,8 @@ def test_non_fit_subcommands_and_help_do_not_load_scipy(tmp_path):
     assert result["scipy"] == []
 
 
-def test_fit_subcommands_still_load_scipy(tmp_path):
+def test_fit_subcommands_load_no_scipy(tmp_path):
     result = run_fresh(FIT, tmp_path)
-    assert result["statuses"] == [0, 0]
-    assert result["scipy_optimize"] is True
+    assert result["statuses"] == [0, 0, 0]
+    assert result["reports"] == 3
+    assert result["scipy"] == []
