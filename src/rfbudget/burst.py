@@ -285,9 +285,7 @@ def protocol_overhead(layout: FrameLayout, msdu_octets: int,
     segments (at ``data_rate``), threading the post-segment voltage of
     each into the next. A depletion error names the failing segment.
     """
-    if count("msdu_octets", msdu_octets) > layout.max_msdu_octets:
-        raise ValueError(f"msdu_octets must be <= {layout.max_msdu_octets}, "
-                         f"got {msdu_octets}")
+    layout.check_payload("msdu_octets", msdu_octets)
     finite("data_rate", data_rate, gt=0)
     finite("supply_current_ma", supply_current_ma, ge=0)
     drain = _Drain(v_start, capacitance)
@@ -298,10 +296,7 @@ def _supply_currents(plans: Sequence[PacketPlan], profile: DeviceProfile,
                      layout: FrameLayout) -> list[float]:
     """Check a burst's inputs; the supply current (mA) of each packet."""
     for k, plan in enumerate(plans, 1):
-        if plan.msdu_octets > layout.max_msdu_octets:
-            raise ValueError(
-                f"packet {k}: msdu_octets {plan.msdu_octets} exceeds the "
-                f"layout maximum {layout.max_msdu_octets}")
+        layout.check_payload(f"packet {k}: msdu_octets", plan.msdu_octets)
     return [current_from_tx_power(profile, plan.tx_power) for plan in plans]
 
 

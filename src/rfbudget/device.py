@@ -127,6 +127,13 @@ class FrameLayout:
         """PSDU octets that are protocol overhead (MHR + FCS); 21 under defaults."""
         return self.mhr_octets + self.fcs_octets
 
+    def check_payload(self, name: str, msdu_octets) -> None:
+        """A ValueError that names ``name`` unless ``msdu_octets`` is a
+        count that fits one frame of this layout."""
+        if count(name, msdu_octets) > self.max_msdu_octets:
+            raise ValueError(f"{name} {msdu_octets} exceeds the layout "
+                             f"maximum {self.max_msdu_octets}")
+
     def frame_bits(self, msdu_octets: int) -> int:
         """Total bits on air for a frame carrying ``msdu_octets`` of payload."""
         return self.preamble_bits + 8 * (self.mhr_octets + msdu_octets + self.fcs_octets)

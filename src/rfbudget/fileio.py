@@ -61,94 +61,71 @@ _TOP_KEYS = (*_SECTIONS, "brownout_v", "include_final_gap", "description")
 _ESC_KEYS = ("capacitance_f", "initial_voltage_v")
 
 
-def _read_rows(path, header: tuple[str, ...]):
-    """Yield (line_number, fields) for each data row; validates the header."""
-    with open(path, newline="") as handle:
+def _load(path, header: tuple[str, ...], make, build=list):
+    """``build`` of the records ``make(*floats)`` of the data rows of the
+    CSV file ``path``, whose first line must be ``header``; blank lines are
+    skipped.
+
+    A wrong field count, a field that is not a number, a ValueError from
+    ``make`` or ``build`` and a csv.Error all end in one TraceParseError
+    that names the path and the 1-based line the reader stopped at.
+    Undecodable bytes read as U+FFFD, so they fail the header or number
+    check of their own line."""
+    with open(path, newline="", errors="replace") as handle:
         reader = csv.reader(handle)
+
+        def records():
+            for row in reader:
+                fields = [field.strip() for field in row]
+                if not any(fields):
+                    continue
+                if len(fields) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, "
+                                     f"got {len(fields)}")
+                yield make(*map(float, fields))
+
         try:
-            first = next(reader)
-        except StopIteration:
-            raise TraceParseError(f"{path}: empty file, expected header "
-                                  f"{','.join(header)}", line=1) from None
-        if tuple(field.strip() for field in first) != header:
-            raise TraceParseError(
-                f"{path}: line 1: expected header {','.join(header)}, "
-                f"got {','.join(first)}", line=1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not field.strip() for field in row):
-                continue
-            if len(row) != len(header):
-                raise TraceParseError(
-                    f"{path}: line {line_no}: expected {len(header)} fields, "
-                    f"got {len(row)}", line=line_no)
-            yield line_no, [field.strip() for field in row]
-
-
-def _floats(path, line_no: int, fields: Sequence[str]) -> list[float]:
-    try:
-        return [float(field) for field in fields]
-    except ValueError as exc:
-        raise TraceParseError(f"{path}: line {line_no}: {exc}",
-                              line=line_no) from None
+            first = next(reader, None)
+            if first is None:
+                raise TraceParseError(f"{path}: empty file, expected header "
+                                      f"{','.join(header)}", line=1)
+            if tuple(field.strip() for field in first) != header:
+                raise ValueError(f"expected header {','.join(header)}, "
+                                 f"got {','.join(first)}")
+            return build(records())
+        except (ValueError, csv.Error) as exc:
+            raise TraceParseError(f"{path}: line {reader.line_num}: {exc}",
+                                  line=reader.line_num) from None
 
 
 def load_voltage_trace(path) -> list[VoltageSample]:
     """Read a charging trace; times must be nondecreasing."""
-    samples: list[VoltageSample] = []
-    last_t = None
-    for line_no, fields in _read_rows(path, TRACE_HEADER):
-        t, v = _floats(path, line_no, fields)
-        try:
-            sample = VoltageSample(t=t, v=v)
-        except ValueError as exc:
-            raise TraceParseError(f"{path}: line {line_no}: {exc}",
-                                  line=line_no) from None
-        if last_t is not None and t < last_t:
-            raise TraceParseError(
-                f"{path}: line {line_no}: non-monotone time {t} s after "
-                f"{last_t} s", line=line_no)
+    last_t = 0.0  # VoltageSample rejects a negative time first
+
+    def sample(t, v):
+        nonlocal last_t
+        record = VoltageSample(t=t, v=v)
+        if t < last_t:
+            raise ValueError(f"non-monotone time {t} s after {last_t} s")
         last_t = t
-        samples.append(sample)
-    return samples
+        return record
+    return _load(path, TRACE_HEADER, sample)
 
 
 def load_ocv_table(path) -> OcvTable:
-    points = []
-    for line_no, fields in _read_rows(path, OCV_HEADER):
-        points.append(tuple(_floats(path, line_no, fields)))
-    try:
-        return OcvTable(points)
-    except ValueError as exc:
-        raise TraceParseError(f"{path}: {exc}") from None
+    return _load(path, OCV_HEADER, lambda p, v: (p, v), OcvTable)
 
 
 def load_calibration(path) -> list[CalibrationPoint]:
-    points = []
-    for line_no, fields in _read_rows(path, CALIBRATION_HEADER):
-        c, p = _floats(path, line_no, fields)
-        try:
-            points.append(CalibrationPoint(supply_current=c, tx_power=p))
-        except ValueError as exc:
-            raise TraceParseError(f"{path}: line {line_no}: {exc}",
-                                  line=line_no) from None
-    return points
+    return _load(path, CALIBRATION_HEADER, CalibrationPoint)
 
 
 def load_plan(path) -> list[PacketPlan]:
-    plans = []
-    for line_no, fields in _read_rows(path, PLAN_HEADER):
-        msdu, p_t, r_d = _floats(path, line_no, fields)
-        if not msdu.is_integer():
-            raise TraceParseError(
-                f"{path}: line {line_no}: msdu_octets must be an integer, "
-                f"got {fields[0]}", line=line_no)
-        try:
-            plans.append(PacketPlan(msdu_octets=int(msdu), tx_power=p_t,
-                                    data_rate=r_d))
-        except ValueError as exc:
-            raise TraceParseError(f"{path}: line {line_no}: {exc}",
-                                  line=line_no) from None
-    return plans
+    def plan(msdu, p_t, r_d):
+        # PacketPlan rejects the float when it is not a whole number.
+        return PacketPlan(msdu_octets=int(msdu) if msdu.is_integer() else msdu,
+                          tx_power=p_t, data_rate=r_d)
+    return _load(path, PLAN_HEADER, plan)
 
 
 @dataclass(frozen=True)
@@ -208,7 +185,10 @@ def load_config(path=None) -> RunConfig:
     if path is None:
         return RunConfig()
     with open(path) as handle:
-        user = json.load(handle)
+        try:
+            user = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: config nests too deeply to parse") from None
     if not isinstance(user, dict):
         raise ValueError(f"{path}: config must be a JSON object, "
                          f"got {type(user).__name__}")

@@ -69,22 +69,28 @@ class OcvTable:
     """
 
     def __init__(self, points: Iterable[tuple[float, float]]):
-        pts = tuple((float(finite("p_dbm", p)), float(finite("v_oc_v", v)))
-                    for p, v in points)
+        # Each step is checked as its point arrives, so an error raised
+        # while a file is read belongs to the line just read.
+        pts = []
+        for p1, v1 in points:
+            p1, v1 = float(finite("p_dbm", p1)), float(finite("v_oc_v", v1))
+            if pts:
+                p0, v0 = pts[-1]
+                if not (p1 > p0 and v1 > v0):
+                    raise ValueError(
+                        "OCV table points must be strictly increasing in "
+                        "both coordinates; offending pair "
+                        f"({p0}, {v0}) -> ({p1}, {v1})")
+                # A finite span and slope keep every interpolated value finite.
+                if not (math.isfinite(p1 - p0)
+                        and math.isfinite((v1 - v0) / (p1 - p0))):
+                    raise ValueError(
+                        "OCV table step overflows a float; offending pair "
+                        f"({p0}, {v0}) -> ({p1}, {v1})")
+            pts.append((p1, v1))
         if not pts:
             raise ValueError("OCV table must contain at least one point")
-        for (p0, v0), (p1, v1) in zip(pts, pts[1:]):
-            if not (p1 > p0 and v1 > v0):
-                raise ValueError(
-                    "OCV table points must be strictly increasing in both "
-                    f"coordinates; offending pair ({p0}, {v0}) -> ({p1}, {v1})")
-            # A finite span and slope keep every interpolated value finite.
-            if not (math.isfinite(p1 - p0)
-                    and math.isfinite((v1 - v0) / (p1 - p0))):
-                raise ValueError(
-                    "OCV table step overflows a float; offending pair "
-                    f"({p0}, {v0}) -> ({p1}, {v1})")
-        self.points = pts
+        self.points = tuple(pts)
 
     @classmethod
     def p2110(cls) -> "OcvTable":

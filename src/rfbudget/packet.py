@@ -55,8 +55,9 @@ def packet_airtime(layout: FrameLayout, msdu_octets: int, data_rate: float) -> P
 
     The SHR+PHR preamble always goes out at the layout's preamble rate
     (192 us under defaults); MHR, payload, and FCS follow at ``data_rate``.
+    A payload larger than one frame of ``layout`` carries is a ValueError.
     """
-    count("msdu_octets", msdu_octets)
+    layout.check_payload("msdu_octets", msdu_octets)
     finite("data_rate", data_rate, gt=0)
     preamble_ms = layout.preamble_bits / layout.preamble_rate * 1e3
     psdu_bits = 8 * (layout.overhead_psdu_octets + msdu_octets)

@@ -18,8 +18,10 @@ from .packet import packet_airtime, wakeup_time
 class CyclePlan:
     """One duty cycle: burst of ``n_packets`` followed by a recharge.
 
-    ``burst`` is None when not even a single packet fits. Times in
-    seconds; duty_cycle = active_time / (active_time + recharge_time).
+    ``burst`` is None when not even a single packet fits; otherwise it is
+    the burst's ledger and totals, without per-bit samples (its sample
+    arrays are empty). Times in seconds;
+    duty_cycle = active_time / (active_time + recharge_time).
     """
 
     n_packets: int
@@ -61,7 +63,7 @@ def cycle_report(model: ChargeModel, initial: EscState, v_cutoff: float,
                          duty_cycle=0.0, active_time=0.0)
     burst = burst_energy([template] * n, initial, profile, layout,
                          include_final_gap=include_final_gap,
-                         brownout_v=brownout_v)
+                         brownout_v=brownout_v, record_samples=False)
     recharge_s = recharge_plan(model, burst.final_state.voltage, initial.voltage)
     timing = packet_airtime(layout, template.msdu_octets, template.data_rate)
     active_ms = (wakeup_time(profile, template.msdu_octets)

@@ -22,6 +22,8 @@ from .lsq import least_squares
 
 # exp() overflows doubles near 710; beyond this the sigmoid term is ~0 anyway
 _EXP_CLIP = 700.0
+# dB of measurement noise by which calibration power may fall as current rises
+MONOTONE_TOL_DB = 0.5
 
 
 @dataclass(frozen=True)
@@ -76,16 +78,14 @@ def system_power(v_cc: float, supply_current_ma: float) -> float:
     return v_cc * supply_current_ma
 
 
-def fit_sigmoid(points: Sequence[CalibrationPoint], *,
-                monotone_tol: float = 0.5) -> SigmoidCoefficients:
+def fit_sigmoid(points: Sequence[CalibrationPoint]) -> SigmoidCoefficients:
     """Least-squares fit of the four S-curve coefficients to a calibration.
 
     Needs at least six points spanning the curve; the measured power must
-    be nondecreasing with current up to ``monotone_tol`` dB of noise.
+    be nondecreasing with current up to ``MONOTONE_TOL_DB`` of noise.
     Returned alpha2 and alpha3 are strictly positive so the fitted curve
     is increasing.
     """
-    finite("monotone_tol", monotone_tol, ge=0)
     if len(points) < 6:
         raise FitError(f"need at least 6 calibration points, got {len(points)}")
     pts = sorted(points, key=lambda p: p.supply_current)
@@ -96,12 +96,12 @@ def fit_sigmoid(points: Sequence[CalibrationPoint], *,
 
     cs = np.array([p.supply_current for p in pts])
     ps = np.array([p.tx_power for p in pts])
-    drops = np.nonzero(np.diff(ps) < -monotone_tol)[0]
+    drops = np.nonzero(np.diff(ps) < -MONOTONE_TOL_DB)[0]
     if drops.size:
         i = int(drops[0])
         raise FitError(
             "calibration power is not monotone in current beyond the "
-            f"{monotone_tol} dB noise tolerance ({ps[i]:.3g} dBm at "
+            f"{MONOTONE_TOL_DB} dB noise tolerance ({ps[i]:.3g} dBm at "
             f"{cs[i]:.3g} mA followed by {ps[i + 1]:.3g} dBm at {cs[i + 1]:.3g} mA)")
     p_span = float(np.ptp(ps))
     if p_span == 0.0:

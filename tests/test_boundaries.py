@@ -79,7 +79,7 @@ BOUNDARIES = [
     (tx_power_from_current, dict(profile=PROFILE, supply_current_ma=10.0)),
     (current_from_tx_power, dict(profile=PROFILE, tx_power_dbm=REF_TX_DBM)),
     (system_power, dict(v_cc=2.5, supply_current_ma=10.0)),
-    (fit_sigmoid, dict(points=POINTS, monotone_tol=0.5)),
+    (fit_sigmoid, dict(points=POINTS)),
     (wakeup_time, dict(profile=PROFILE, msdu_octets=10)),
     (wakeup_energy, dict(profile=PROFILE, v_cc=2.5, msdu_octets=10)),
     (sleep_energy, dict(profile=PROFILE, v_cc=2.5, supply_current_ma=10.0)),

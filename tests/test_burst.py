@@ -483,10 +483,15 @@ def test_cycle_report_burst_equals_a_direct_burst(sig_profile, layout):
     plan = cycle_report(model, initial, 2.2, template, sig_profile, layout,
                         64, brownout_v=None)
     assert plan.n_packets > 1
-    direct = burst_energy([template] * plan.n_packets, initial, sig_profile,
-                          layout, brownout_v=None)
-    assert_same_arrays(sample_arrays(plan.burst), sample_arrays(direct))
-    assert plan.burst.sample_packet[-1] == plan.n_packets
+    plans = [template] * plan.n_packets
+    direct = burst_energy(plans, initial, sig_profile, layout, brownout_v=None)
+    assert plan.burst.packets == direct.packets
+    assert plan.burst.total_energy_uj == direct.total_energy_uj
+    assert plan.burst.final_state == direct.final_state
+    # The planned burst records no per-bit samples.
+    slim = burst_energy(plans, initial, sig_profile, layout, brownout_v=None,
+                        record_samples=False)
+    assert_same_arrays(sample_arrays(plan.burst), sample_arrays(slim))
 
 
 def test_burst_rejects_oversized_payload(sig_profile, layout):

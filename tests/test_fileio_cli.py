@@ -6,15 +6,18 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfbudget import (ChargeModel, DeviceProfile, FrameLayout, OcvTable,
-                      TraceParseError, charge_voltage, load_calibration,
-                      load_config, load_ocv_table, load_plan,
-                      load_voltage_trace)
+                      RfBudgetError, RunConfig, TraceParseError,
+                      charge_voltage, load_calibration, load_config,
+                      load_ocv_table, load_plan, load_voltage_trace)
 from rfbudget.burst import DEFAULT_BROWNOUT_V
 from rfbudget.cli import build_parser, main
+from rfbudget.fileio import (CALIBRATION_HEADER, OCV_HEADER, PLAN_HEADER,
+                             TRACE_HEADER, _DEVICE_KEYS, _ESC_KEYS,
+                             _FRAME_KEYS)
 from conftest import ALPHA1, ALPHA2, ALPHA3, ALPHA4
 
 
@@ -94,6 +97,54 @@ def test_load_plan_rejects_fractional_octets(tmp_path):
         load_plan(path)
 
 
+def test_load_ocv_table_names_the_line_of_a_bad_step(tmp_path):
+    path = tmp_path / "ocv.csv"
+    path.write_text("p_dbm,v_oc_v\n-14,0.4\n-7,2.0\n-9,3.0\n-2,4.0\n")
+    with pytest.raises(TraceParseError, match="line 4: OCV table points") \
+            as excinfo:
+        load_ocv_table(path)
+    assert excinfo.value.line == 4
+
+
+# More characters than the csv module reads into one field.
+BIG_FIELD = b"1" * 131_073
+LOADERS = [(load_voltage_trace, TRACE_HEADER), (load_ocv_table, OCV_HEADER),
+           (load_calibration, CALIBRATION_HEADER), (load_plan, PLAN_HEADER)]
+CSV_FIELDS = st.one_of(
+    st.floats().map(lambda x: repr(x).encode()),
+    st.integers(-300, 300).map(lambda n: str(n).encode()),
+    st.sampled_from([b"", b" ", b'"', b'""', b'"1,2"', b'"1\n2"', b"\r",
+                     b"\x00", b"\xff\xfe", b"nan", b"1e400", b"t_s",
+                     BIG_FIELD]),
+    st.binary(max_size=6))
+CSV_ROWS = st.lists(st.lists(CSV_FIELDS, max_size=4).map(b",".join),
+                    max_size=6)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("load, header", LOADERS,
+                         ids=[load.__name__ for load, _ in LOADERS])
+@settings(max_examples=50, deadline=None)
+@given(head=st.sampled_from(["right", "wrong", "missing"]), rows=CSV_ROWS,
+       end=st.sampled_from([b"\n", b"\r\n", b"\r"]))
+@example(head="right", rows=[b"1," + BIG_FIELD], end=b"\n")
+def test_any_csv_gives_a_result_or_a_line_numbered_parse_error(
+        scratch, load, header, head, rows, end):
+    first = {"right": [",".join(header).encode()], "wrong": [b"a,b"],
+             "missing": []}[head]
+    path = scratch / "input.csv"
+    path.write_bytes(b"".join(line + end for line in first + rows))
+    try:
+        load(path)
+    except TraceParseError as exc:
+        assert exc.line is not None and exc.line >= 1
+        assert str(exc).startswith(f"{path}: ")
+
+
 # config ----------------------------------------------------------------------
 
 def test_default_config_pins_device_constants():
@@ -162,6 +213,71 @@ def test_user_config_names_the_first_bad_value_in_file_order(tmp_path):
         load_config(user)
 
 
+def nested(depth: int, kind: str) -> str:
+    if kind == "list":
+        return "[" * depth + "]" * depth
+    return '{"k": ' * depth + "0" + "}" * depth
+
+
+DEEP_LIST = nested(100_000, "list")
+JSON_VALUES = st.one_of(
+    st.recursive(
+        st.none() | st.booleans() | st.floats() | st.integers()
+        | st.just(10**400) | st.text(max_size=4),
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=3), inner,
+                                         max_size=3)),
+        max_leaves=8).map(json.dumps),
+    st.builds(nested, st.sampled_from([2, 60, 900, 5_000, 100_000]),
+              st.sampled_from(["list", "object"])),
+    st.just("1" + "0" * 5_000))  # more digits than int() will convert
+
+
+def json_object(items: dict) -> str:
+    return "{" + ", ".join(f"{json.dumps(key)}: {value}"
+                           for key, value in items.items()) + "}"
+
+
+CONFIG_SECTIONS = {"device": _DEVICE_KEYS, "frame": _FRAME_KEYS,
+                   "esc": _ESC_KEYS, "ocv_table": OCV_HEADER}
+CONFIG_TEXTS = st.fixed_dictionaries({}, optional={
+    **{name: JSON_VALUES | st.dictionaries(st.sampled_from(sorted(keys)),
+                                           JSON_VALUES).map(json_object)
+       for name, keys in CONFIG_SECTIONS.items()},
+    **{key: JSON_VALUES
+       for key in ("brownout_v", "include_final_gap", "description")},
+}).map(json_object)
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=CONFIG_TEXTS)
+@example(text=DEEP_LIST)
+@example(text=json_object({"description": DEEP_LIST}))
+def test_any_json_config_gives_a_config_or_an_error(scratch, text):
+    path = scratch / "config.json"
+    path.write_text(text)
+    try:
+        assert isinstance(load_config(path), RunConfig)
+    except (ValueError, RfBudgetError):
+        pass
+
+
+@pytest.mark.parametrize("text", [DEEP_LIST,
+                                  json_object({"description": DEEP_LIST})],
+                         ids=["top-level", "description"])
+def test_config_that_nests_too_deeply_is_an_error_naming_the_path(tmp_path,
+                                                                  text):
+    with pytest.raises(ValueError, match="config.json: config nests too "
+                                         "deeply"):
+        load_config(write_config_text(tmp_path, text))
+
+
+def write_config_text(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    return str(path)
+
+
 # CLI -------------------------------------------------------------------------
 
 def sigmoid_config(tmp_path, **extra):
@@ -190,6 +306,15 @@ def test_cli_packet_cost_golden(capsys):
     assert record["preamble_time_s"] == pytest.approx(192e-6, rel=1e-6)
     assert record["effective_fraction"] == pytest.approx(0.797, abs=1e-3)
     assert record["wake_energy_uj"] == pytest.approx(28.38, abs=0.01)
+
+
+def test_cli_packet_cost_rejects_a_payload_the_frame_cannot_carry(capsys):
+    status, out, err = run_cli(capsys, [
+        "packet-cost", "--msdu-octets", "500", "--data-rate-bps", "250000",
+        "--vcc-v", "2", "--current-ma", "10"])
+    assert (status, out) == (1, "")
+    assert err == ("error: msdu_octets 500 exceeds the layout maximum "
+                   "106\n")
 
 
 def test_cli_packet_cost_tx_power_needs_coefficients(capsys):
@@ -453,9 +578,7 @@ def test_cli_model_error_exit_status(tmp_path, capsys):
 
 
 def write_config(tmp_path, body):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(body))
-    return str(path)
+    return write_config_text(tmp_path, json.dumps(body))
 
 
 def test_cli_config_ocv_table_needs_both_columns(tmp_path, capsys):
@@ -471,6 +594,20 @@ def test_cli_config_ocv_table_needs_both_columns(tmp_path, capsys):
                                         "--p-dbm", "-5"])
     assert status == 0, err
     assert json.loads(out)["v_oc_v"] == 1.5
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda tmp_path: ["fit-charge", "--capacitance-f", "0.0022", "--trace",
+                      trace_file(tmp_path, "0.0," + "1" * 131_073 + "\n")],
+    lambda tmp_path: ["ocv", "--p-dbm", "-5", "--config",
+                      write_config_text(tmp_path, DEEP_LIST)],
+    lambda tmp_path: ["ocv", "--p-dbm", "-5", "--config", write_config_text(
+        tmp_path, json_object({"description": DEEP_LIST}))],
+], ids=["large-csv-field", "nested-config", "nested-description"])
+def test_cli_unparsable_input_is_one_error_line(tmp_path, capsys, make_argv):
+    status, out, err = run_cli(capsys, make_argv(tmp_path))
+    assert (status, out) == (1, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_cli_ocv_table_whose_step_overflows_is_an_error(tmp_path, capsys):

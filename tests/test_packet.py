@@ -69,6 +69,12 @@ def test_airtime_rejects_bad_rate(layout):
         packet_airtime(layout, 10, 0.0)
 
 
+def test_airtime_rejects_a_payload_the_frame_cannot_carry(layout):
+    with pytest.raises(ValueError, match="msdu_octets 107 exceeds the layout "
+                                         "maximum 106"):
+        packet_airtime(layout, 107, 250e3)
+
+
 def test_effective_fraction_closed_form(layout):
     # fraction == payload/(payload+overhead) damped by the preamble share
     for msdu in (1, 10, 50, 106):
