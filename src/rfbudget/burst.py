@@ -257,23 +257,16 @@ def _frame_cascade(drain: _Drain, layout: FrameLayout, msdu_octets: int,
                    packet=None, out=None) -> FrameBreakdown:
     """Drain one frame through the four protocol segments in order."""
     current_a = supply_current_ma * 1e-3
-    plan = (
-        ("phy", layout.preamble_bits, current_a / layout.preamble_rate),
-        ("mhr", 8 * layout.mhr_octets, current_a / data_rate),
-        ("msdu", 8 * msdu_octets, current_a / data_rate),
-        ("fcs", 8 * layout.fcs_octets, current_a / data_rate),
-    )
-    energies = {}
-    voltages = {}
-    for name, bits, charge in plan:
-        energies[name] = drain.drain_bits(bits, charge, packet=packet,
-                                          segment=name, out=out) * 1e6
-        voltages[name] = drain.voltage
-    return FrameBreakdown(
-        e_phy_uj=energies["phy"], e_mhr_uj=energies["mhr"],
-        e_msdu_uj=energies["msdu"], e_fcs_uj=energies["fcs"],
-        v_after_phy=voltages["phy"], v_after_mhr=voltages["mhr"],
-        v_after_msdu=voltages["msdu"], v_after_fcs=voltages["fcs"])
+    energies, voltages = [], []
+    for segment, bits, rate in (
+            ("phy", layout.preamble_bits, layout.preamble_rate),
+            ("mhr", 8 * layout.mhr_octets, data_rate),
+            ("msdu", 8 * msdu_octets, data_rate),
+            ("fcs", 8 * layout.fcs_octets, data_rate)):
+        energies.append(drain.drain_bits(bits, current_a / rate, packet=packet,
+                                         segment=segment, out=out) * 1e6)
+        voltages.append(drain.voltage)
+    return FrameBreakdown(*energies, *voltages)
 
 
 def protocol_overhead(layout: FrameLayout, msdu_octets: int,
@@ -346,7 +339,6 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
     currents = _supply_currents(plans, profile, layout)
     cum_joules = array.array("d") if record_samples else None
     ledger: list[PacketLedger] = []
-    v_min = initial.voltage
 
     wake_uj = wakeup_energy(profile, drain.voltage, plans[0].msdu_octets)
     drain.withdraw(wake_uj * 1e-6, packet=1, segment="wake-up")
@@ -370,13 +362,13 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
             index=j, plan=plan, supply_current_ma=current_ma, v_start=v_start,
             frame=frame, wake_energy_uj=wake_uj if j == 1 else 0.0,
             interpacket_energy_uj=gap_uj, sleep_energy_uj=sleep_uj))
-        v_min = min(v_min, drain.voltage)
 
-    if brownout_v is not None and v_min < brownout_v:
+    # Every withdrawal is >= 0, so the final voltage is the lowest reached.
+    if brownout_v is not None and drain.voltage < brownout_v:
         warnings.warn(
-            f"supply voltage reached {v_min:.3f} V, below the {brownout_v:.2f} V "
-            "brown-out level; the device constants are unvalidated down there",
-            BrownoutWarning, stacklevel=2)
+            f"supply voltage reached {drain.voltage:.3f} V, below the "
+            f"{brownout_v:.2f} V brown-out level; the device constants are "
+            "unvalidated down there", BrownoutWarning, stacklevel=2)
 
     # numpy is loaded here, not at module import: it is most of the
     # package's import time, and only the code that builds arrays uses it.

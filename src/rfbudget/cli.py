@@ -12,7 +12,7 @@ usage errors.
 import argparse
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 from .burst import DEFAULT_BROWNOUT_V, burst_energy
 from .device import DeviceProfile, EscState, PacketPlan, count, finite
@@ -29,16 +29,6 @@ from .radiopower import (current_from_tx_power, fit_sigmoid, system_power,
                          tx_power_from_current)
 
 
-def _charge_model_from_args(args, capacitance: float) -> ChargeModel:
-    return ChargeModel(v_oc=args.v_oc, r_eq=args.r_ohm, capacitance=capacitance)
-
-
-def _resolve_current(args, config: RunConfig) -> float:
-    if args.current_ma is not None:
-        return args.current_ma
-    return current_from_tx_power(config.profile, args.tx_power_dbm)
-
-
 def _store_from_args(args, config: RunConfig) -> tuple[RunConfig, EscState]:
     """Overlay the store and burst flags on ``config`` (flags win over
     config file values); the resolved config and the initial store."""
@@ -48,33 +38,34 @@ def _store_from_args(args, config: RunConfig) -> tuple[RunConfig, EscState]:
              "include_final_gap": False if args.no_final_gap_overhead else None}
     config = replace(config, **{key: value for key, value in flags.items()
                                 if value is not None})
-    for value, flag, key in (
-            (config.capacitance_f, "--capacitance-f", "capacitance_f"),
-            (config.initial_voltage_v, "--initial-v", "initial_voltage_v")):
-        if value is None:
+    for flag, key in (("--capacitance-f", "capacitance_f"),
+                      ("--initial-v", "initial_voltage_v")):
+        if getattr(config, key) is None:
             raise ValueError(f"missing {flag} (or esc.{key} in the config file)")
     return config, EscState(capacitance=config.capacitance_f,
                             voltage=config.initial_voltage_v)
 
 
+def _model_record(model: ChargeModel) -> dict:
+    """The charge-model keys of the fit-charge and predict-charge reports."""
+    return {"v_oc_v": model.v_oc, "r_eq_ohm": model.r_eq,
+            "capacitance_f": model.capacitance, "tau_s": model.tau}
+
+
 def cmd_fit_charge(args, config: RunConfig) -> dict:
     samples = load_voltage_trace(args.trace)
-    if args.v_oc is not None:
-        model = fit_r_known_voc(samples, args.capacitance_f, args.v_oc)
-    else:
-        model = fit_charge_model(samples, args.capacitance_f)
+    model = (fit_charge_model(samples, args.capacitance_f) if args.v_oc is None
+             else fit_r_known_voc(samples, args.capacitance_f, args.v_oc))
     return {
-        "v_oc_v": model.v_oc,
-        "r_eq_ohm": model.r_eq,
-        "capacitance_f": model.capacitance,
-        "tau_s": model.tau,
+        **_model_record(model),
         "mean_abs_residual_v": prediction_error(model, samples),
         "n_samples": len(samples),
     }
 
 
 def cmd_predict_charge(args, config: RunConfig) -> dict:
-    model = _charge_model_from_args(args, args.capacitance_f)
+    model = ChargeModel(v_oc=args.v_oc, r_eq=args.r_ohm,
+                        capacitance=args.capacitance_f)
     horizon = finite("--horizon-s", args.horizon_s, gt=0)
     n = count("--points", args.points, ge=2)
     if args.curve_csv:
@@ -82,10 +73,7 @@ def cmd_predict_charge(args, config: RunConfig) -> dict:
         write_table(args.curve_csv, ("t_s", "v_v"),
                     ((t, charge_voltage(model, t)) for t in times))
     return {
-        "v_oc_v": model.v_oc,
-        "r_eq_ohm": model.r_eq,
-        "capacitance_f": model.capacitance,
-        "tau_s": model.tau,
+        **_model_record(model),
         "horizon_s": args.horizon_s,
         "v_at_horizon_v": charge_voltage(model, horizon * (n - 1) / (n - 1)),
         "n_points": n,
@@ -104,8 +92,7 @@ def cmd_ocv(args, config: RunConfig) -> dict:
 def cmd_fit_power(args, config: RunConfig) -> dict:
     points = load_calibration(args.calibration)
     coeffs = fit_sigmoid(points)
-    fitted = DeviceProfile(alpha1=coeffs.alpha1, alpha2=coeffs.alpha2,
-                           alpha3=coeffs.alpha3, alpha4=coeffs.alpha4)
+    fitted = DeviceProfile(**coeffs._asdict())
     sq = [(tx_power_from_current(fitted, p.supply_current) - p.tx_power) ** 2
           for p in points]
     rms = (sum(sq) / len(sq)) ** 0.5
@@ -120,7 +107,8 @@ def cmd_fit_power(args, config: RunConfig) -> dict:
 
 
 def cmd_packet_cost(args, config: RunConfig) -> dict:
-    current_ma = _resolve_current(args, config)
+    current_ma = (args.current_ma if args.tx_power_dbm is None else
+                  current_from_tx_power(config.profile, args.tx_power_dbm))
     timing = packet_airtime(config.layout, args.msdu_octets, args.data_rate_bps)
     record = {
         "msdu_octets": args.msdu_octets,
@@ -159,9 +147,7 @@ def cmd_simulate_burst(args, config: RunConfig) -> dict:
                   "interpacket_uj", "sleep_uj")
         rows = [(p.index, p.plan.msdu_octets, p.plan.tx_power,
                  p.plan.data_rate, p.supply_current_ma, p.v_start,
-                 p.frame.e_phy_uj, p.frame.e_mhr_uj, p.frame.e_msdu_uj,
-                 p.frame.e_fcs_uj, p.frame.v_after_phy, p.frame.v_after_mhr,
-                 p.frame.v_after_msdu, p.frame.v_after_fcs, p.wake_energy_uj,
+                 *astuple(p.frame), p.wake_energy_uj,
                  p.interpacket_energy_uj, p.sleep_energy_uj)
                 for p in report.packets]
         write_table(args.packets_csv, header, rows)
@@ -185,7 +171,8 @@ def cmd_simulate_burst(args, config: RunConfig) -> dict:
 
 def cmd_plan_cycle(args, config: RunConfig) -> dict:
     config, initial = _store_from_args(args, config)
-    model = _charge_model_from_args(args, initial.capacitance)
+    model = ChargeModel(v_oc=args.v_oc, r_eq=args.r_ohm,
+                        capacitance=initial.capacitance)
     template = PacketPlan(msdu_octets=args.msdu_octets,
                           tx_power=args.tx_power_dbm,
                           data_rate=args.data_rate_bps)
@@ -193,16 +180,15 @@ def cmd_plan_cycle(args, config: RunConfig) -> dict:
                         config.profile, config.layout, args.cap_n,
                         include_final_gap=config.include_final_gap,
                         brownout_v=config.brownout_v)
-    v_final = (plan.burst.final_state.voltage if plan.burst is not None
-               else initial.voltage)
-    e_total = plan.burst.total_energy_uj if plan.burst is not None else 0.0
     return {
         "n_packets": plan.n_packets,
         "capacitance_f": initial.capacitance,
         "v_init_v": initial.voltage,
         "cutoff_v": args.cutoff_v,
-        "v_final_v": v_final,
-        "e_total_uj": e_total,
+        "v_final_v": (plan.burst.final_state.voltage if plan.burst is not None
+                      else initial.voltage),
+        "e_total_uj": (plan.burst.total_energy_uj if plan.burst is not None
+                       else 0.0),
         "active_time_s": plan.active_time,
         "recharge_time_s": plan.recharge_time,
         "cycle_time_s": plan.active_time + plan.recharge_time,
@@ -220,6 +206,21 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the report here instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="report format (default json)")
+    charge = argparse.ArgumentParser(add_help=False)
+    charge.add_argument("--v-oc", type=float, required=True,
+                        help="open-circuit voltage of the fitted charge model")
+    charge.add_argument("--r-ohm", type=float, required=True,
+                        help="equivalent impedance of the fitted charge model")
+    store = argparse.ArgumentParser(add_help=False)
+    store.add_argument("--capacitance-f", type=float)
+    store.add_argument("--initial-v", type=float)
+    store.add_argument("--brownout-v", type=float)
+    store.add_argument("--no-final-gap-overhead", action="store_true",
+                       help="leave the transceiver off/on overhead of the "
+                            "last inter-packet gap out of the budget")
+    packet = argparse.ArgumentParser(add_help=False)
+    packet.add_argument("--msdu-octets", type=int, required=True)
+    packet.add_argument("--data-rate-bps", type=float, required=True)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -232,10 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "open-circuit voltage")
     p.set_defaults(func=cmd_fit_charge)
 
-    p = sub.add_parser("predict-charge", parents=[common],
+    p = sub.add_parser("predict-charge", parents=[common, charge],
                        help="sample a fitted charging curve over a horizon")
-    p.add_argument("--v-oc", type=float, required=True)
-    p.add_argument("--r-ohm", type=float, required=True)
     p.add_argument("--capacitance-f", type=float, required=True)
     p.add_argument("--horizon-s", type=float, required=True)
     p.add_argument("--points", type=int, default=101)
@@ -255,10 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV with header c_c_ma,p_t_dbm")
     p.set_defaults(func=cmd_fit_power)
 
-    p = sub.add_parser("packet-cost", parents=[common],
+    p = sub.add_parser("packet-cost", parents=[common, packet],
                        help="timing and lump energies of a single packet")
-    p.add_argument("--msdu-octets", type=int, required=True)
-    p.add_argument("--data-rate-bps", type=float, required=True)
     p.add_argument("--vcc-v", type=float, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--current-ma", type=float)
@@ -266,39 +263,23 @@ def build_parser() -> argparse.ArgumentParser:
                        help="requires sigmoid coefficients in the config")
     p.set_defaults(func=cmd_packet_cost)
 
-    p = sub.add_parser("simulate-burst", parents=[common],
+    p = sub.add_parser("simulate-burst", parents=[common, store],
                        help="simulate a burst from a packet plan file")
     p.add_argument("--plan", required=True,
                    help="CSV with header msdu_octets,p_t_dbm,r_d_bps")
-    p.add_argument("--capacitance-f", type=float)
-    p.add_argument("--initial-v", type=float)
-    p.add_argument("--brownout-v", type=float)
-    p.add_argument("--no-final-gap-overhead", action="store_true",
-                   help="leave the transceiver off/on overhead of the last "
-                        "inter-packet gap out of the budget")
     p.add_argument("--packets-csv", help="write the per-packet ledger here")
     p.add_argument("--samples-csv", help="write per-bit cumulative energy here")
     p.set_defaults(func=cmd_simulate_burst)
 
-    p = sub.add_parser("plan-cycle", parents=[common],
+    p = sub.add_parser("plan-cycle", parents=[common, charge, store, packet],
                        help="packets per cycle and recharge time")
-    p.add_argument("--v-oc", type=float, required=True,
-                   help="open-circuit voltage of the fitted charge model")
-    p.add_argument("--r-ohm", type=float, required=True,
-                   help="equivalent impedance of the fitted charge model")
-    p.add_argument("--capacitance-f", type=float)
-    p.add_argument("--initial-v", type=float)
     p.add_argument("--cutoff-v", type=float, default=DEFAULT_BROWNOUT_V,
                    help="lowest usable store voltage (default "
                         f"{DEFAULT_BROWNOUT_V}, the device's minimum "
                         "operating voltage)")
-    p.add_argument("--msdu-octets", type=int, required=True)
     p.add_argument("--tx-power-dbm", type=float, required=True)
-    p.add_argument("--data-rate-bps", type=float, required=True)
     p.add_argument("--cap-n", type=int, default=64,
                    help="upper bound on packets per cycle (default 64)")
-    p.add_argument("--brownout-v", type=float)
-    p.add_argument("--no-final-gap-overhead", action="store_true")
     p.set_defaults(func=cmd_plan_cycle)
 
     return parser

@@ -184,32 +184,34 @@ def load_config(path=None) -> RunConfig:
     whole. Unknown keys are rejected; ``description`` is ignored."""
     if path is None:
         return RunConfig()
-    with open(path) as handle:
-        try:
+    try:
+        with open(path) as handle:
             user = json.load(handle)
-        except RecursionError:
-            raise ValueError(f"{path}: config nests too deeply to parse") from None
-    if not isinstance(user, dict):
-        raise ValueError(f"{path}: config must be a JSON object, "
-                         f"got {type(user).__name__}")
-    _check_keys(user, _TOP_KEYS, "top-level config")
-    for key, value in user.items():
-        if key in _SECTIONS and not isinstance(value, dict):
-            raise ValueError(f"{path}: config section {key!r} must be an "
-                             f"object, got {type(value).__name__}")
-        if key == "esc":
-            _check_keys(value, _ESC_KEYS, "esc config")
+        if not isinstance(user, dict):
+            raise ValueError("config must be a JSON object, "
+                             f"got {type(user).__name__}")
+        _check_keys(user, _TOP_KEYS, "top-level config")
+        for key, value in user.items():
+            if key in _SECTIONS and not isinstance(value, dict):
+                raise ValueError(f"config section {key!r} must be an object, "
+                                 f"got {type(value).__name__}")
+            if key == "esc":
+                _check_keys(value, _ESC_KEYS, "esc config")
 
-    fields = {key: user[key] for key in ("brownout_v", "include_final_gap")
-              if key in user}
-    fields.update(user.get("esc", {}))
-    fields["profile"] = DeviceProfile(**_apply_keys(user.get("device", {}),
-                                                    _DEVICE_KEYS, "device"))
-    fields["layout"] = FrameLayout(**_apply_keys(user.get("frame", {}),
-                                                 _FRAME_KEYS, "frame"))
-    if "ocv_table" in user:
-        fields["ocv_table"] = _ocv_table(user["ocv_table"])
-    return RunConfig(**fields)
+        fields = {key: user[key] for key in ("brownout_v", "include_final_gap")
+                  if key in user}
+        fields.update(user.get("esc", {}))
+        fields["profile"] = DeviceProfile(**_apply_keys(
+            user.get("device", {}), _DEVICE_KEYS, "device"))
+        fields["layout"] = FrameLayout(**_apply_keys(
+            user.get("frame", {}), _FRAME_KEYS, "frame"))
+        if "ocv_table" in user:
+            fields["ocv_table"] = _ocv_table(user["ocv_table"])
+        return RunConfig(**fields)
+    except RecursionError:
+        raise ValueError(f"{path}: config nests too deeply to parse") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def fmt6(value) -> str:

@@ -468,6 +468,13 @@ def test_burst_samples_equal_per_bit_reference(plans, capacitance, v0,
     assert_same_arrays(sample_arrays(report),
                        reference_samples(plans, initial, sig_profile, layout,
                                          include_final_gap))
+    # Every withdrawal is >= 0, so the voltage never rises along the burst.
+    chain = [v0]
+    for p in report.packets:
+        chain += [p.v_start, p.frame.v_after_phy, p.frame.v_after_mhr,
+                  p.frame.v_after_msdu, p.frame.v_after_fcs]
+    chain.append(report.final_state.voltage)
+    assert all(a >= b for a, b in zip(chain, chain[1:])), chain
     slim = burst_energy(plans, initial, sig_profile, layout,
                         include_final_gap=include_final_gap,
                         brownout_v=None, record_samples=False)

@@ -272,6 +272,20 @@ def test_config_that_nests_too_deeply_is_an_error_naming_the_path(tmp_path,
         load_config(write_config_text(tmp_path, text))
 
 
+UNPARSABLE_CONFIGS = [b'{"device": ', b'{"device": {"wake_current_ma": \xff}}']
+UNPARSABLE_IDS = ["truncated-json", "byte-0xff"]
+
+
+@pytest.mark.parametrize("content", UNPARSABLE_CONFIGS, ids=UNPARSABLE_IDS)
+def test_config_that_does_not_parse_is_an_error_naming_the_path(tmp_path,
+                                                                content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as excinfo:
+        load_config(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
 def write_config_text(tmp_path, text):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -608,6 +622,17 @@ def test_cli_unparsable_input_is_one_error_line(tmp_path, capsys, make_argv):
     status, out, err = run_cli(capsys, make_argv(tmp_path))
     assert (status, out) == (1, "")
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("content", UNPARSABLE_CONFIGS, ids=UNPARSABLE_IDS)
+def test_cli_config_that_does_not_parse_is_one_error_line_naming_it(
+        tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    status, out, err = run_cli(capsys, ["ocv", "--p-dbm", "-5",
+                                        "--config", str(path)])
+    assert (status, out) == (1, "")
+    assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
 
 
 def test_cli_ocv_table_whose_step_overflows_is_an_error(tmp_path, capsys):
