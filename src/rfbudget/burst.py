@@ -25,8 +25,9 @@ from __future__ import annotations
 import array
 import math
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .device import (DeviceProfile, EscState, FrameLayout, PacketPlan,
                      count, finite)
@@ -92,19 +93,49 @@ class BurstReport:
     arrays with one entry per transmitted bit: the 1-based packet index
     (int32), the 1-based bit position within that packet's frame (int32),
     and the running energy total (uJ, float64) including every lump
-    overhead withdrawn so far. The two index arrays are built from the
-    frame sizes after the burst; the running total is the one the drain
-    recorded bit by bit. All three are empty, with the same dtypes, when
-    the burst was simulated with ``record_samples=False``.
+    overhead withdrawn so far. The report keeps the running totals (J) the
+    drain recorded bit by bit and the bits of each frame; each array is
+    built from them, loading numpy, when first read. ``sample_rows`` gives
+    the same values as Python numbers without numpy. All are empty when the
+    burst was simulated with ``record_samples=False``.
     ``total_energy_uj`` additionally includes the final sleep ramp.
     """
 
     packets: tuple[PacketLedger, ...]
-    sample_packet: np.ndarray
-    sample_bit: np.ndarray
-    sample_cumulative_uj: np.ndarray
     total_energy_uj: float
     final_state: EscState
+    _cumulative_joules: array.array = field(repr=False)
+    _frame_bits: tuple[int, ...] = field(repr=False)
+
+    def sample_rows(self) -> Iterator[tuple[int, int, float]]:
+        """(packet, bit, running total in uJ) for every transmitted bit."""
+        totals = iter(self._cumulative_joules)
+        for packet, bits in enumerate(self._frame_bits, 1):
+            for bit in range(1, bits + 1):
+                yield packet, bit, next(totals) * 1e6
+
+    @cached_property
+    def sample_packet(self) -> np.ndarray:
+        import numpy as np
+
+        bits = np.asarray(self._frame_bits, dtype=np.int64)
+        return np.repeat(np.arange(1, bits.size + 1, dtype=np.int32), bits)
+
+    @cached_property
+    def sample_bit(self) -> np.ndarray:
+        import numpy as np
+
+        bits = np.asarray(self._frame_bits, dtype=np.int64)
+        starts = np.repeat(np.cumsum(bits) - bits, bits)
+        bit = np.arange(1, starts.size + 1, dtype=np.int64) - starts
+        return bit.astype(np.int32)
+
+    @cached_property
+    def sample_cumulative_uj(self) -> np.ndarray:
+        import numpy as np
+
+        # The product is a fresh array, so it does not alias the buffer.
+        return np.frombuffer(self._cumulative_joules) * 1e6
 
 
 class _Drain:
@@ -293,18 +324,6 @@ def _supply_currents(plans: Sequence[PacketPlan], profile: DeviceProfile,
     return [current_from_tx_power(profile, plan.tx_power) for plan in plans]
 
 
-def _sample_indices(frame_bits: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """1-based packet index and bit position (both int32) of every bit of
-    consecutive frames of ``frame_bits`` bits each."""
-    import numpy as np
-
-    bits = np.asarray(frame_bits, dtype=np.int64)
-    packet = np.repeat(np.arange(1, bits.size + 1, dtype=np.int32), bits)
-    starts = np.repeat(np.cumsum(bits) - bits, bits)
-    bit = np.arange(1, starts.size + 1, dtype=np.int64) - starts
-    return packet, bit.astype(np.int32)
-
-
 def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
                  profile: DeviceProfile, layout: FrameLayout, *,
                  include_final_gap: bool = True,
@@ -325,9 +344,9 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
     only charge gaps to the middle packets.
 
     A BrownoutWarning is emitted (once) if the voltage dips below
-    ``brownout_v``; pass None to disable. ``record_samples=False`` skips
-    the per-bit cumulative arrays, which makes a simulation that only
-    needs the totals cheaper.
+    ``brownout_v``; pass None to disable. ``record_samples=False`` records
+    no per-bit samples, which makes a simulation that only needs the
+    totals cheaper.
     """
     plans = tuple(plans)
     n = len(plans)
@@ -337,7 +356,8 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
         finite("brownout_v", brownout_v)
     drain = _Drain(initial.voltage, initial.capacitance)
     currents = _supply_currents(plans, profile, layout)
-    cum_joules = array.array("d") if record_samples else None
+    cum_joules = array.array("d")
+    out = cum_joules if record_samples else None
     ledger: list[PacketLedger] = []
 
     wake_uj = wakeup_energy(profile, drain.voltage, plans[0].msdu_octets)
@@ -346,7 +366,7 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
     for j, (plan, current_ma) in enumerate(zip(plans, currents), 1):
         v_start = drain.voltage
         frame = _frame_cascade(drain, layout, plan.msdu_octets, current_ma,
-                               plan.data_rate, packet=j, out=cum_joules)
+                               plan.data_rate, packet=j, out=out)
 
         gap_uj = 0.0
         sleep_uj = 0.0
@@ -370,23 +390,13 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
             f"{brownout_v:.2f} V brown-out level; the device constants are "
             "unvalidated down there", BrownoutWarning, stacklevel=2)
 
-    # numpy is loaded here, not at module import: it is most of the
-    # package's import time, and only the code that builds arrays uses it.
-    import numpy as np
-
-    sample_packet, sample_bit = _sample_indices(
-        [layout.frame_bits(plan.msdu_octets) for plan in plans]
-        if record_samples else [])
-    # The product is a fresh array, so the report does not alias the buffer.
-    cum_uj = (np.frombuffer(cum_joules) * 1e6 if record_samples
-              else np.empty(0))
     return BurstReport(
         packets=tuple(ledger),
-        sample_packet=sample_packet,
-        sample_bit=sample_bit,
-        sample_cumulative_uj=cum_uj,
         total_energy_uj=drain.total_joules * 1e6,
-        final_state=EscState(initial.capacitance, drain.voltage))
+        final_state=EscState(initial.capacitance, drain.voltage),
+        _cumulative_joules=cum_joules,
+        _frame_bits=(tuple(layout.frame_bits(plan.msdu_octets)
+                           for plan in plans) if record_samples else ()))
 
 
 def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,

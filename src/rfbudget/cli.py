@@ -138,7 +138,8 @@ def cmd_simulate_burst(args, config: RunConfig) -> dict:
     config, initial = _store_from_args(args, config)
     report = burst_energy(plans, initial, config.profile, config.layout,
                           include_final_gap=config.include_final_gap,
-                          brownout_v=config.brownout_v)
+                          brownout_v=config.brownout_v,
+                          record_samples=bool(args.samples_csv))
     if args.packets_csv:
         header = ("packet", "msdu_octets", "tx_power_dbm", "data_rate_bps",
                   "supply_current_ma", "v_start_v", "e_phy_uj", "e_mhr_uj",
@@ -152,9 +153,8 @@ def cmd_simulate_burst(args, config: RunConfig) -> dict:
                 for p in report.packets]
         write_table(args.packets_csv, header, rows)
     if args.samples_csv:
-        rows = zip(report.sample_packet.tolist(), report.sample_bit.tolist(),
-                   report.sample_cumulative_uj.tolist())
-        write_table(args.samples_csv, ("packet", "bit", "e_cum_uj"), rows)
+        write_table(args.samples_csv, ("packet", "bit", "e_cum_uj"),
+                    report.sample_rows())
     return {
         "n_packets": len(report.packets),
         "capacitance_f": initial.capacitance,

@@ -15,6 +15,7 @@ output.
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -223,30 +224,42 @@ def fmt6(value) -> str:
     return format(value, ".6g")
 
 
-def _jsonable(value):
+def _fmt_finite(value, what: str, key) -> str:
+    """fmt6 of ``value``; a ValueError naming ``what`` ``key`` when it is a
+    float that is not finite: JSON has no inf or nan, and no report or
+    table may carry one."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{what} {key!r} is {value}, not a finite number")
+    return fmt6(value)
+
+
+def _jsonable(key, value):
     if isinstance(value, bool) or isinstance(value, int) or isinstance(value, str):
         return value
-    return float(fmt6(value))
+    return float(_fmt_finite(value, "report key", key))
 
 
 def render_record_json(record: dict) -> str:
-    return json.dumps({k: _jsonable(v) for k, v in record.items()},
+    return json.dumps({k: _jsonable(k, v) for k, v in record.items()},
                       sort_keys=True, indent=2) + "\n"
 
 
 def render_record_csv(record: dict) -> str:
     lines = ["key,value"]
     for key in sorted(record):
-        lines.append(f"{key},{fmt6(record[key])}")
+        lines.append(f"{key},{_fmt_finite(record[key], 'report key', key)}")
     return "\n".join(lines) + "\n"
 
 
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV table with every number at 6 significant digits."""
+    """Write a CSV table with every number at 6 significant digits; a
+    non-finite float is a ValueError that names its column."""
     path = Path(path)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([fmt6(cell) if isinstance(cell, float) else cell
-                             for cell in row])
+            writer.writerow([
+                _fmt_finite(cell, "column", column)
+                if isinstance(cell, float) else cell
+                for column, cell in zip(header, row, strict=True)])

@@ -13,6 +13,7 @@ varies strongly with incident RF power; ``OcvTable`` interpolates measured
 """
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
@@ -39,6 +40,7 @@ class ChargeModel:
         finite("v_oc", self.v_oc, gt=0)
         finite("r_eq", self.r_eq, gt=0)
         finite("capacitance", self.capacitance, gt=0)
+        finite("time constant r_eq * capacitance", self.tau, gt=0)
 
     @property
     def tau(self) -> float:
@@ -157,6 +159,29 @@ def prediction_error(model: ChargeModel, samples: Sequence[VoltageSample]) -> fl
     return sum(abs(charge_voltage(model, s.t) - s.v) for s in samples) / len(samples)
 
 
+def _r_through(t: float, v: float, v_oc: float, capacitance: float) -> float:
+    """The r_eq whose charging curve passes through (t, v); inf where
+    ``capacitance * log1p(-v / v_oc)`` underflows to zero."""
+    denominator = capacitance * math.log1p(-v / v_oc)
+    return -t / denominator if denominator else math.inf
+
+
+def _seeded(r0: float, capacitance: float) -> float:
+    """``r0`` when ``r0 * capacitance`` is a positive finite time constant."""
+    tau = r0 * capacitance
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise FitError(
+            f"cannot seed the fit: r_eq {r0:g} ohm times capacitance "
+            f"{capacitance:g} F gives the time constant {tau:g} s")
+    return r0
+
+
+def _r_floor(capacitance: float) -> float:
+    """The fits' lower bound on r_eq: 1e-12 ohm, or higher where
+    ``r_eq * capacitance`` would underflow to a zero time constant."""
+    return max(1e-12, sys.float_info.min / capacitance)
+
+
 def fit_charge_model(samples: Sequence[VoltageSample], capacitance: float) -> ChargeModel:
     """Least-squares fit of (v_oc, r_eq) to a charging trace.
 
@@ -170,18 +195,13 @@ def fit_charge_model(samples: Sequence[VoltageSample], capacitance: float) -> Ch
     finite("capacitance", capacitance, gt=0)
     if len(samples) < 3:
         raise FitError(f"need at least 3 samples to fit, got {len(samples)}")
-    # numpy is loaded here, not at module import: it is most of the
-    # package's import time, and only the fits and the burst sample arrays
-    # use it.
-    import numpy as np
-
-    ts = np.array([s.t for s in samples], dtype=float)
-    vs = np.array([s.v for s in samples], dtype=float)
-    if len(np.unique(ts)) < 2:
+    ts = [s.t for s in samples]
+    vs = [s.v for s in samples]
+    if len(set(ts)) < 2:
         raise FitError("need samples at >= 2 distinct times")
-    if float(np.ptp(vs)) == 0.0:
+    v_max = max(vs)
+    if v_max == min(vs):
         raise FitError("degenerate trace: all voltages equal")
-    v_max = float(vs.max())
     if v_max > MAX_PHYSICAL_VOC:
         raise FitError(
             f"sample voltage {v_max} V exceeds the physical ceiling "
@@ -191,23 +211,28 @@ def fit_charge_model(samples: Sequence[VoltageSample], capacitance: float) -> Ch
     r0 = None
     for t, v in sorted(zip(ts, vs)):
         if t > 0 and 0 < v < v_oc0:
-            r0 = -t / (capacitance * math.log1p(-v / v_oc0))
+            r0 = _r_through(t, v, v_oc0, capacitance)
             break
     if r0 is None or not math.isfinite(r0) or r0 <= 0:
-        r0 = (float(ts.max()) or 1.0) / capacitance
+        r0 = (max(ts) or 1.0) / capacitance
 
     def residual(params):
         v_oc, r = params
-        return v_oc * -np.expm1(-ts / (r * capacitance)) - vs
+        tau = r * capacitance
+        return [v_oc * -math.expm1(-t / tau) - v for t, v in zip(ts, vs)]
 
     def jacobian(params):
         v_oc, r = params
-        u = -ts / (r * capacitance)
-        return np.column_stack((-np.expm1(u), v_oc * np.exp(u) * u / r))
+        tau = r * capacitance
+        us = [-t / tau for t in ts]
+        return [[-math.expm1(u) for u in us],
+                [v_oc * math.exp(u) * u / r for u in us]]
 
-    v_oc, r_eq = least_squares(residual, jacobian, [v_oc0, r0],
-                               [1e-12, 1e-12], what="charge-model")
-    return ChargeModel(v_oc=float(v_oc), r_eq=float(r_eq), capacitance=capacitance)
+    v_oc, r_eq = least_squares(residual, jacobian,
+                               [v_oc0, _seeded(r0, capacitance)],
+                               [1e-12, _r_floor(capacitance)],
+                               what="charge-model")
+    return ChargeModel(v_oc=v_oc, r_eq=r_eq, capacitance=capacitance)
 
 
 def fit_r_known_voc(samples: Sequence[VoltageSample], capacitance: float,
@@ -227,28 +252,29 @@ def fit_r_known_voc(samples: Sequence[VoltageSample], capacitance: float,
             raise FitError(
                 f"sample voltage {s.v} V is not below v_oc {v_oc} V; "
                 "the charging curve never reaches the open-circuit voltage")
-    estimates = [-s.t / (capacitance * math.log1p(-s.v / v_oc))
-                 for s in samples if s.t > 0 and s.v > 0]
+    estimates = sorted(_r_through(s.t, s.v, v_oc, capacitance)
+                       for s in samples if s.t > 0 and s.v > 0)
     if not estimates:
         raise FitError("no usable sample with t > 0 and v > 0")
-    if len(estimates) == 1 and len(samples) == 1:
-        return ChargeModel(v_oc=v_oc, r_eq=estimates[0], capacitance=capacitance)
+    half = len(estimates) // 2
+    r0 = _seeded(estimates[half] if len(estimates) % 2 else
+                 (estimates[half - 1] + estimates[half]) / 2, capacitance)
+    if len(samples) == 1:
+        return ChargeModel(v_oc=v_oc, r_eq=r0, capacitance=capacitance)
 
-    import numpy as np
-
-    ts = np.array([s.t for s in samples], dtype=float)
-    vs = np.array([s.v for s in samples], dtype=float)
-    r0 = float(np.median(estimates))
+    ts = [s.t for s in samples]
+    vs = [s.v for s in samples]
 
     def residual(params):
         (r,) = params
-        return v_oc * -np.expm1(-ts / (r * capacitance)) - vs
+        tau = r * capacitance
+        return [v_oc * -math.expm1(-t / tau) - v for t, v in zip(ts, vs)]
 
     def jacobian(params):
         (r,) = params
-        u = -ts / (r * capacitance)
-        return (v_oc * np.exp(u) * u / r)[:, None]
+        tau = r * capacitance
+        return [[v_oc * math.exp(u) * u / r for u in (-t / tau for t in ts)]]
 
-    (r_eq,) = least_squares(residual, jacobian, [r0], [1e-12],
-                            what="impedance")
-    return ChargeModel(v_oc=v_oc, r_eq=float(r_eq), capacitance=capacitance)
+    (r_eq,) = least_squares(residual, jacobian, [r0],
+                            [_r_floor(capacitance)], what="impedance")
+    return ChargeModel(v_oc=v_oc, r_eq=r_eq, capacitance=capacitance)

@@ -5,10 +5,18 @@ residuals, so each step solves the damped normal equations
 
     (JᵀJ + lam * diag(JᵀJ)) step = -Jᵀr
 
-directly (Marquardt, SIAM J. Appl. Math. 11(2), 1963). ``lam`` grows
-tenfold when a step fails to lower the cost and shrinks tenfold when one
-does; a lower bound holds by clipping the step.
+directly (Marquardt, SIAM J. Appl. Math. 11(2), 1963), by Cholesky.
+``lam`` grows tenfold when a step fails to lower the cost and shrinks
+tenfold when one does; a lower bound holds by clipping the step.
+
+Everything is plain floats and lists: ``residual(x)`` returns a list of
+floats, ``jacobian(x)`` returns one list per parameter (the derivatives of
+every residual with respect to it), and ``x`` is a list. Dot products use
+``math.fsum``.
 """
+
+import math
+from operator import mul
 
 from .errors import FitError
 
@@ -22,55 +30,98 @@ FTOL = 1e-15
 MAX_NFEV = 1000
 
 
-def least_squares(residual, jacobian, x0, lower, *, what: str):
-    """Parameters ``x >= lower`` minimising ``sum(residual(x) ** 2)``.
+def _dot(a, b) -> float:
+    products = list(map(mul, a, b))
+    try:
+        return math.fsum(products)
+    except (OverflowError, ValueError):
+        # fsum raises where the sum overflows or meets inf - inf; the
+        # plain sum gives the inf or nan that the solver's checks expect
+        return sum(products)
 
-    ``jacobian(x)`` returns the residuals' derivatives, one column per
+
+def _cholesky_solve(a, b):
+    """``x`` with ``a x = b`` for a symmetric positive definite ``a``;
+    None when the factorisation fails in floats."""
+    n = len(b)
+    low = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = a[i][j] - _dot(low[i][:j], low[j][:j])
+            if i == j:
+                if not s > 0.0:
+                    return None
+                low[i][i] = math.sqrt(s)
+            else:
+                low[i][j] = s / low[j][j]
+    y = []
+    for i in range(n):
+        y.append((b[i] - _dot(low[i][:i], y)) / low[i][i])
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (y[i] - _dot([low[k][i] for k in range(i + 1, n)],
+                            x[i + 1:])) / low[i][i]
+    return x
+
+
+def least_squares(residual, jacobian, x0, lower, *, what: str) -> list:
+    """Parameters ``x >= lower`` minimising the sum of ``residual(x)``
+    squared.
+
+    ``jacobian(x)`` returns the residuals' derivatives, one list per
     parameter. Raises FitError, naming ``what`` fit stopped, why, and after
-    how many residual evaluations, when the residual or Jacobian is not
-    finite or MAX_NFEV evaluations pass without converging.
+    how many residual evaluations, when the residual, the Jacobian or JᵀJ
+    is not finite or MAX_NFEV evaluations pass without converging.
     """
-    # numpy is loaded here, not at module import: only the fits use it.
-    import numpy as np
 
     def fail(why):
         return FitError(f"{what} fit did not converge: {why} after {nfev} "
                         f"evaluation{'s' if nfev > 1 else ''}")
 
-    lower = np.asarray(lower, dtype=float)
-    x = np.maximum(np.asarray(x0, dtype=float), lower)
+    lower = [float(b) for b in lower]
+    x = [max(float(v), b) for v, b in zip(x0, lower)]
     r = residual(x)
-    cost = r @ r
+    cost = _dot(r, r)
     nfev = 1
-    if not np.isfinite(cost):
+    if not math.isfinite(cost):
         raise fail("the residual at the seed is not finite")
     lam = 1e-3
     while True:
         jac = jacobian(x)
-        if not np.isfinite(jac).all():
+        if not all(map(math.isfinite, (v for column in jac for v in column))):
             raise fail("the Jacobian is not finite")
-        grad = jac.T @ r
-        hess = jac.T @ jac
+        minus_jtr = [-_dot(column, r) for column in jac]
+        hess = [[_dot(a, b) for b in jac] for a in jac]
+        # A finite diagonal bounds every entry (Cauchy-Schwarz), so enough
+        # damping always makes the factorisation succeed.
+        if not all(math.isfinite(row[k]) for k, row in enumerate(hess)):
+            raise fail("the normal equations overflow")
         # a parameter the residuals do not depend on gets unit scale
-        scale = np.diag(hess)
-        scale = np.diag(np.where(scale > 0.0, scale, 1.0))
+        scale = [row[k] if row[k] > 0.0 else 1.0 for k, row in enumerate(hess)]
         while True:
             if nfev >= MAX_NFEV:
                 raise fail("the evaluation limit was reached")
-            # lstsq, not solve: a singular system must not raise LinAlgError
-            step = np.linalg.lstsq(hess + lam * scale, -grad, rcond=None)[0]
-            x_new = np.maximum(x + step, lower)
+            step = _cholesky_solve(
+                [[h + lam * scale[i] if i == k else h
+                  for k, h in enumerate(row)] for i, row in enumerate(hess)],
+                minus_jtr)
+            if step is None:
+                # Not positive definite in floats (JᵀJ singular and lam too
+                # small to show): damp harder, as after a rejected step. The
+                # floor keeps a lam that underflowed to 0 from staying there.
+                lam = max(lam * 10.0, 1e-300)
+                continue
+            x_new = [max(v + s, b) for v, s, b in zip(x, step, lower)]
             r_new = residual(x_new)
-            cost_new = r_new @ r_new
+            cost_new = _dot(r_new, r_new)
             nfev += 1
-            small = (np.linalg.norm(x_new - x)
-                     <= XTOL * (XTOL + np.linalg.norm(x)))
+            small = math.dist(x_new, x) <= XTOL * (XTOL + math.hypot(*x))
             if cost_new < cost:
                 break
             if small:
                 # Not even a vanishing step lowers the cost: x is the
                 # minimum to float precision, unless the residual broke.
-                if not np.isfinite(cost_new):
+                if not math.isfinite(cost_new):
                     raise fail("the residual is not finite near the solution")
                 return x
             lam *= 10.0

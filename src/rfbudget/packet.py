@@ -61,7 +61,9 @@ def packet_airtime(layout: FrameLayout, msdu_octets: int, data_rate: float) -> P
     finite("data_rate", data_rate, gt=0)
     preamble_ms = layout.preamble_bits / layout.preamble_rate * 1e3
     psdu_bits = 8 * (layout.overhead_psdu_octets + msdu_octets)
-    airtime_ms = preamble_ms + psdu_bits / data_rate * 1e3
+    # a tiny rate overflows the time on air
+    airtime_ms = finite(f"airtime at {data_rate} bit/s",
+                        preamble_ms + psdu_bits / data_rate * 1e3)
     payload_ms = 8 * msdu_octets / data_rate * 1e3
     return PacketTiming(airtime=airtime_ms, preamble_time=preamble_ms,
                         effective_fraction=payload_ms / airtime_ms)

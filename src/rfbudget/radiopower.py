@@ -89,52 +89,54 @@ def fit_sigmoid(points: Sequence[CalibrationPoint]) -> SigmoidCoefficients:
     if len(points) < 6:
         raise FitError(f"need at least 6 calibration points, got {len(points)}")
     pts = sorted(points, key=lambda p: p.supply_current)
-    # numpy is loaded here, not at module import: it is most of the
-    # package's import time, and only the fits and the burst sample arrays
-    # use it.
-    import numpy as np
-
-    cs = np.array([p.supply_current for p in pts])
-    ps = np.array([p.tx_power for p in pts])
-    drops = np.nonzero(np.diff(ps) < -MONOTONE_TOL_DB)[0]
-    if drops.size:
-        i = int(drops[0])
-        raise FitError(
-            "calibration power is not monotone in current beyond the "
-            f"{MONOTONE_TOL_DB} dB noise tolerance ({ps[i]:.3g} dBm at "
-            f"{cs[i]:.3g} mA followed by {ps[i + 1]:.3g} dBm at {cs[i + 1]:.3g} mA)")
-    p_span = float(np.ptp(ps))
+    cs = [p.supply_current for p in pts]
+    ps = [p.tx_power for p in pts]
+    steps = list(zip(cs, cs[1:], ps, ps[1:]))
+    for c0, c1, p0, p1 in steps:
+        if p1 - p0 < -MONOTONE_TOL_DB:
+            raise FitError(
+                "calibration power is not monotone in current beyond the "
+                f"{MONOTONE_TOL_DB} dB noise tolerance ({p0:.3g} dBm at "
+                f"{c0:.3g} mA followed by {p1:.3g} dBm at {c1:.3g} mA)")
+    p_span = max(ps) - min(ps)
     if p_span == 0.0:
         raise FitError("degenerate calibration: all powers equal")
 
     # Seeds: asymptotes from the data range, midpoint from the half-power
     # crossing, slope from the steepest local gradient (= alpha2*alpha3/4
     # at the midpoint of an exact sigmoid).
-    a1_0 = float(ps.max()) + 0.05 * p_span
+    a1_0 = max(ps) + 0.05 * p_span
     a2_0 = 1.1 * p_span
-    mid = float(ps.min()) + 0.5 * p_span
-    a4_0 = float(cs[np.argmin(np.abs(ps - mid))])
-    dc = np.diff(cs)
-    good = dc > 0
-    slope = float(np.max(np.diff(ps)[good] / dc[good])) if good.any() else 1.0
+    mid = min(ps) + 0.5 * p_span
+    a4_0 = cs[min(range(len(ps)), key=lambda i: abs(ps[i] - mid))]
+    slopes = [(p1 - p0) / (c1 - c0) for c0, c1, p0, p1 in steps if c1 > c0]
+    slope = max(slopes) if slopes else 1.0
     a3_0 = max(4.0 * slope / a2_0, 1e-3)
+
+    def clipped(raw):
+        # min before max, so that a nan exponent stays nan
+        return max(min(raw, _EXP_CLIP), -_EXP_CLIP)
 
     def residual(params):
         a1, a2, a3, a4 = params
-        x = np.clip(a3 * (cs - a4), -_EXP_CLIP, _EXP_CLIP)
-        return a1 - a2 / (np.exp(x) + 1.0) - ps
+        return [a1 - a2 / (math.exp(clipped(a3 * (c - a4))) + 1.0) - p
+                for c, p in zip(cs, ps)]
 
     def jacobian(params):
         a1, a2, a3, a4 = params
-        raw = a3 * (cs - a4)
-        e = np.exp(np.clip(raw, -_EXP_CLIP, _EXP_CLIP))
-        q = 1.0 / (e + 1.0)
-        # d(residual)/d(exponent) = a2 e q^2, grouped so that e q <= 1 keeps
-        # it finite; zero where the clip holds the exponent fixed.
-        dx = np.where(np.abs(raw) < _EXP_CLIP, a2 * (e * q) * q, 0.0)
-        return np.column_stack((np.ones_like(cs), -q, dx * (cs - a4), -dx * a3))
+        columns = [[1.0] * len(cs), [], [], []]
+        for c in cs:
+            raw = a3 * (c - a4)
+            e = math.exp(clipped(raw))
+            q = 1.0 / (e + 1.0)
+            # d(residual)/d(exponent) = a2 e q^2, grouped so that e q <= 1
+            # keeps it finite; zero where the clip holds the exponent fixed.
+            dx = a2 * (e * q) * q if abs(raw) < _EXP_CLIP else 0.0
+            columns[1].append(-q)
+            columns[2].append(dx * (c - a4))
+            columns[3].append(-dx * a3)
+        return columns
 
-    fitted = least_squares(residual, jacobian, [a1_0, a2_0, a3_0, a4_0],
-                           [-np.inf, 1e-9, 1e-9, -np.inf], what="sigmoid")
-    a1, a2, a3, a4 = (float(x) for x in fitted)
-    return SigmoidCoefficients(a1, a2, a3, a4)
+    return SigmoidCoefficients(*least_squares(
+        residual, jacobian, [a1_0, a2_0, a3_0, a4_0],
+        [-math.inf, 1e-9, 1e-9, -math.inf], what="sigmoid"))

@@ -483,6 +483,20 @@ def test_burst_samples_equal_per_bit_reference(plans, capacitance, v0,
                         np.empty(0, np.float64)))
 
 
+def test_sample_rows_equal_the_sample_arrays(sig_profile, layout):
+    plans = [ref_plan(30), ref_plan(0), ref_plan(106)]
+    report = burst_energy(plans, EscState(2e-3, 3.2), sig_profile, layout,
+                          brownout_v=None)
+    rows = list(report.sample_rows())
+    assert rows == list(zip(report.sample_packet.tolist(),
+                            report.sample_bit.tolist(),
+                            report.sample_cumulative_uj.tolist()))
+    assert all(type(value) is float for _, _, value in rows)
+    slim = burst_energy(plans, EscState(2e-3, 3.2), sig_profile, layout,
+                        brownout_v=None, record_samples=False)
+    assert list(slim.sample_rows()) == []
+
+
 def test_cycle_report_burst_equals_a_direct_burst(sig_profile, layout):
     initial = EscState(capacitance=2e-3, voltage=3.0)
     model = ChargeModel(v_oc=3.6, r_eq=800.0, capacitance=2e-3)

@@ -17,7 +17,8 @@ from rfbudget.burst import DEFAULT_BROWNOUT_V
 from rfbudget.cli import build_parser, main
 from rfbudget.fileio import (CALIBRATION_HEADER, OCV_HEADER, PLAN_HEADER,
                              TRACE_HEADER, _DEVICE_KEYS, _ESC_KEYS,
-                             _FRAME_KEYS)
+                             _FRAME_KEYS, render_record_csv,
+                             render_record_json, write_table)
 from conftest import ALPHA1, ALPHA2, ALPHA3, ALPHA4
 
 
@@ -566,6 +567,20 @@ def test_cli_plan_cycle_cutoff_defaults_to_the_brownout_level():
     assert args.cutoff_v == DEFAULT_BROWNOUT_V
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("render", [render_record_json, render_record_csv])
+def test_reports_reject_a_non_finite_value_naming_its_key(render, value):
+    with pytest.raises(ValueError, match=f"report key 'airtime_s' is {value}, "
+                                         "not a finite number"):
+        render({"n_packets": 2, "airtime_s": value})
+
+
+def test_tables_reject_a_non_finite_cell_naming_its_column(tmp_path):
+    with pytest.raises(ValueError, match="column 'v_v' is nan"):
+        write_table(tmp_path / "t.csv", ("t_s", "v_v"),
+                    [(0.0, 1.0), (1.0, math.nan)])
+
+
 def test_cli_csv_format(capsys):
     status, out, _ = run_cli(capsys, [
         "ocv", "--p-dbm", "-7", "--format", "csv"])
@@ -804,7 +819,8 @@ def numeric_flags():
 
 
 NUMERIC_FLAGS = numeric_flags()
-BAD_FLAG_VALUES = ["nan", "inf", "-inf", "1" + "0" * 400, "0", "-1"]
+BAD_FLAG_VALUES = ["nan", "inf", "-inf", "1" + "0" * 400, "0", "-1",
+                   "5e-324", "1e-300", "1e300", "1.7e308"]
 
 
 @pytest.fixture(scope="module")

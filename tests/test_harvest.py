@@ -168,6 +168,42 @@ def test_fit_r_known_voc_needs_informative_sample():
         fit_r_known_voc([VoltageSample(0.0, 0.0)], 2.2e-3, 2.6)
 
 
+@pytest.mark.parametrize("r_eq, capacitance, got", [
+    (5e-324, 1e-3, "0.0"), (1e-200, 1e-200, "0.0"), (800.0, 1.7e308, "inf")])
+def test_charge_model_needs_a_positive_finite_time_constant(r_eq, capacitance,
+                                                            got):
+    with pytest.raises(ValueError, match="time constant r_eq \\* capacitance "
+                                         f"must be .*, got {got}"):
+        ChargeModel(v_oc=3.0, r_eq=r_eq, capacitance=capacitance)
+
+
+TINY_CAP_TRACE = [VoltageSample(t, v) for t, v in
+                  ((0.0, 0.0), (0.5, 1.0), (1.0, 1.6), (2.0, 2.3))]
+
+
+@pytest.mark.parametrize("fit", [
+    lambda: fit_charge_model(TINY_CAP_TRACE, 5e-324),
+    lambda: fit_r_known_voc(TINY_CAP_TRACE, 5e-324, 3.0),
+    lambda: fit_r_known_voc(TINY_CAP_TRACE[1:2], 5e-324, 3.0),
+], ids=["charge", "voc", "voc-single-sample"])
+def test_fit_rejects_a_seed_without_a_time_constant(fit):
+    # r_eq * C underflows in the seed's inversion: the fit stops before
+    # the solver, with the reason
+    with pytest.raises(FitError, match="cannot seed the fit: .* time "
+                                       "constant inf s"):
+        fit()
+
+
+def test_fit_keeps_the_time_constant_positive_at_a_tiny_capacitance():
+    # The seed r_eq is about 3e-8 ohm, and 1e-12 ohm times 1e-315 F
+    # underflows to a zero time constant. The lower bound on r_eq rises so
+    # that r_eq * C stays a positive float and no step divides by zero.
+    trace = [VoltageSample(t, v) for t, v in
+             ((0.0, 0.0), (1e-322, 1.0), (2e-322, 1.0), (3e-322, 1.0))]
+    model = fit_charge_model(trace, 1e-315)
+    assert math.isfinite(model.tau) and model.tau > 0.0
+
+
 # time_to_voltage -----------------------------------------------------------
 
 def test_time_to_voltage_zero_target():

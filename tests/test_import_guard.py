@@ -1,5 +1,6 @@
-"""No subcommand loads scipy, and numpy is loaded only when an array is
-built: by a burst's sample arrays, the planner's burst or a fit.
+"""No subcommand loads numpy or scipy. numpy is loaded only when a
+library caller reads a ``BurstReport`` sample array or calls
+``bit_energy_oracle``, the two places that return ndarrays.
 
 Each check runs in a fresh interpreter, because this test session has
 long since imported numpy and scipy through the other tests.
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 from conftest import ALPHA1, ALPHA2, ALPHA3, ALPHA4
+from rfbudget import FrameLayout
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -39,6 +41,8 @@ scalar_runs = [
 ]
 array_runs = [
     ["simulate-burst", "--config", sig, "--plan", d + "/plan.csv", *store],
+    ["simulate-burst", "--config", sig, "--plan", d + "/plan.csv", *store,
+     "--packets-csv", d + "/packets.csv", "--samples-csv", d + "/samples.csv"],
     ["plan-cycle", "--config", sig, "--v-oc", "3", "--r-ohm", "800", *store,
      "--msdu-octets", "106", "--tx-power-dbm", "3.5",
      "--data-rate-bps", "250000", "--cap-n", "8"],
@@ -53,10 +57,11 @@ with contextlib.redirect_stdout(io.StringIO()):
             main(argv)
         except SystemExit as exc:
             statuses.append(exc.code)
-    numpy_before_arrays = "numpy" in sys.modules
     statuses += [main(argv) for argv in array_runs]
-print(json.dumps({"statuses": statuses,
-                  "numpy_before_arrays": numpy_before_arrays,
+with open(d + "/samples.csv") as f:
+    sample_rows = sum(1 for _ in f) - 1
+print(json.dumps({"statuses": statuses, "sample_rows": sample_rows,
+                  "numpy": "numpy" in sys.modules,
                   "scipy": sorted(m for m in sys.modules
                                   if m.split(".")[0] == "scipy")}))
 """ % (ALPHA1, ALPHA2, ALPHA3, ALPHA4)
@@ -83,8 +88,39 @@ with contextlib.redirect_stdout(out):
                 main(["fit-power", "--calibration", d + "/cal.csv"])]
 print(json.dumps({"statuses": statuses,
                   "reports": out.getvalue().count("{"),
+                  "numpy": "numpy" in sys.modules,
                   "scipy": sorted(m for m in sys.modules
                                   if m.split(".")[0] == "scipy")}))
+"""
+
+ARRAYS = """
+import json, sys
+import rfbudget.cli
+from rfbudget import (DeviceProfile, EscState, FrameLayout, PacketPlan,
+                      burst_energy)
+
+loaded = {"cli": sorted(m for m in ("numpy", "statistics", "fractions",
+                                    "decimal") if m in sys.modules)}
+profile = DeviceProfile(alpha1=%r, alpha2=%r, alpha3=%r, alpha4=%r)
+report = burst_energy([PacketPlan(10, 0.0, 250000.0)] * 2,
+                      EscState(0.00012, 2.5), profile, FrameLayout())
+rows = list(report.sample_rows())
+loaded["burst"] = "numpy" in sys.modules
+arrays = (report.sample_packet, report.sample_bit, report.sample_cumulative_uj)
+loaded["read"] = "numpy" in sys.modules
+print(json.dumps({"loaded": loaded, "rows": len(rows),
+                  "sizes": [a.size for a in arrays],
+                  "dtypes": [str(a.dtype) for a in arrays]}))
+""" % (ALPHA1, ALPHA2, ALPHA3, ALPHA4)
+
+ORACLE = """
+import json, sys
+from rfbudget import bit_energy_oracle
+
+before = "numpy" in sys.modules
+energies, _ = bit_energy_oracle(2.5, 10.0, 250000.0, 0.00012, 4)
+print(json.dumps({"before": before, "after": "numpy" in sys.modules,
+                  "size": energies.size}))
 """
 
 
@@ -100,9 +136,13 @@ def run_fresh(code, tmp_path):
 def test_non_fit_subcommands_and_help_do_not_load_scipy(tmp_path):
     result = run_fresh(NON_FIT, tmp_path)
     # three scalar runs, the top-level help and each subcommand's help,
-    # then the two runs that build arrays
-    assert result["statuses"] == [0] * (3 + 8 + 2)
-    assert result["numpy_before_arrays"] is False
+    # then the two bursts (the second writing both tables) and the planner
+    assert result["statuses"] == [0] * (3 + 8 + 3)
+    # one row per bit of the plan's two frames
+    layout = FrameLayout()
+    assert result["sample_rows"] == (layout.frame_bits(106)
+                                     + layout.frame_bits(10))
+    assert result["numpy"] is False
     assert result["scipy"] == []
 
 
@@ -110,4 +150,17 @@ def test_fit_subcommands_load_no_scipy(tmp_path):
     result = run_fresh(FIT, tmp_path)
     assert result["statuses"] == [0, 0, 0]
     assert result["reports"] == 3
+    assert result["numpy"] is False
     assert result["scipy"] == []
+
+
+def test_only_reading_a_sample_array_loads_numpy(tmp_path):
+    result = run_fresh(ARRAYS, tmp_path)
+    assert result["loaded"] == {"cli": [], "burst": False, "read": True}
+    assert result["sizes"] == [result["rows"]] * 3
+    assert result["dtypes"] == ["int32", "int32", "float64"]
+
+
+def test_the_oracle_loads_numpy(tmp_path):
+    result = run_fresh(ORACLE, tmp_path)
+    assert result == {"before": False, "after": True, "size": 4}

@@ -2,7 +2,9 @@
 
 Each fit hands ``least_squares`` its residual and an analytic Jacobian;
 ``captured`` records them by wrapping the solver where the fit looks it
-up, so the tests below check the fits' own closures.
+up, so the tests below check the fits' own closures. The closures take
+and return lists; the recorded wrappers convert to and from ndarrays, so
+the checks and scipy see arrays.
 """
 
 import math
@@ -23,8 +25,12 @@ def captured(monkeypatch, module):
 
     def recording(residual, jacobian, x0, lower, **kwargs):
         x = lsq.least_squares(residual, jacobian, x0, lower, **kwargs)
-        calls.append({"residual": residual, "jacobian": jacobian,
-                      "x0": list(x0), "lower": list(lower), "x": x})
+        calls.append({
+            "residual": lambda p: np.asarray(residual(
+                [float(v) for v in p])),
+            "jacobian": lambda p: np.column_stack(jacobian(
+                [float(v) for v in p])),
+            "x0": list(x0), "lower": list(lower), "x": np.asarray(x)})
         return x
 
     monkeypatch.setattr(module, "least_squares", recording)
@@ -142,50 +148,115 @@ def test_sigmoid_jacobian_is_zero_in_the_exponent_where_clipped(monkeypatch):
 
 
 def test_solver_fits_an_exact_line():
-    ts = np.arange(10.0)
-    ys = 2.0 * ts + 1.0
-    x = lsq.least_squares(lambda p: p[0] * ts + p[1] - ys,
-                          lambda p: np.column_stack((ts, np.ones_like(ts))),
-                          [0.0, 0.0], [-np.inf, -np.inf], what="line")
+    ts = [float(t) for t in range(10)]
+    ys = [2.0 * t + 1.0 for t in ts]
+    x = lsq.least_squares(
+        lambda p: [p[0] * t + p[1] - y for t, y in zip(ts, ys)],
+        lambda p: [ts, [1.0] * len(ts)],
+        [0.0, 0.0], [-math.inf, -math.inf], what="line")
     assert x == pytest.approx([2.0, 1.0], rel=1e-12)
+
+
+def test_solver_converges_with_two_identical_jacobian_columns():
+    # The residual depends on p[0] + p[1] only, so JᵀJ is singular and
+    # only the damping makes each step solvable.
+    ts = [float(t) for t in range(10)]
+    ys = [2.0 * t + 0.1 * (-1) ** t for t in ts]
+    x = lsq.least_squares(
+        lambda p: [(p[0] + p[1]) * t - y for t, y in zip(ts, ys)],
+        lambda p: [ts, ts], [0.0, 0.0], [-math.inf, -math.inf], what="twin")
+    slope = math.fsum(t * y for t, y in zip(ts, ys)) / math.fsum(
+        t * t for t in ts)
+    assert x[0] + x[1] == pytest.approx(slope, rel=1e-12)
+
+
+def test_failed_factorisation_is_a_rejected_step_without_an_evaluation(
+        monkeypatch):
+    solve = lsq._cholesky_solve
+    diagonals, steps, evaluations = [], [], []
+
+    def failing_thrice(a, b):
+        if len(diagonals) < 3:
+            diagonals.append(a[0][0])
+            return None
+        steps.append(solve(a, b))
+        return steps[-1]
+
+    def residual(p):
+        evaluations.append(p)
+        return [p[0] - 1.0]
+
+    monkeypatch.setattr(lsq, "_cholesky_solve", failing_thrice)
+    x = lsq.least_squares(residual, lambda p: [[1.0]], [3.0], [-math.inf],
+                          what="flaky")
+    assert x[0] == pytest.approx(1.0, rel=1e-12)
+    # each failure raised lam tenfold: diag(JᵀJ) (1 + lam) = 1 + lam
+    assert diagonals == [1.0 + 1e-3, 1.0 + 1e-2, 1.0 + 1e-1]
+    # the seed and one per solved step; the failures evaluated nothing
+    assert len(evaluations) == 1 + len(steps)
+
+
+def test_solver_ends_after_lam_underflows_with_a_zero_jacobian_column():
+    # p[0] ** 10 converges linearly (x0.9 a step), so over 320 accepted
+    # steps lam falls to 0; the unused p[1] then leaves JᵀJ + lam * I
+    # singular however often lam is multiplied by ten
+    x = lsq.least_squares(lambda p: [p[0] ** 10],
+                          lambda p: [[10.0 * p[0] ** 9], [0.0]],
+                          [1.0, 0.0], [-1.0, -1.0], what="flat")
+    assert abs(x[0]) < 1e-15 and x[1] == 0.0
+
+
+def test_normal_equations_that_overflow_end_in_fit_error():
+    # each Jacobian entry is finite, but JᵀJ is not
+    with pytest.raises(FitError, match="the normal equations overflow "
+                                       "after 1 evaluation$"):
+        lsq.least_squares(
+            lambda p: [1e200 * (p[0] + p[1]) - 1.0, 1e200 * (p[0] - p[1])],
+            lambda p: [[1e200, 1e200], [1e200, -1e200]],
+            [0.0, 0.0], [-1.0, -1.0], what="huge")
+
+
+def test_cholesky_solve_reports_a_singular_matrix():
+    assert lsq._cholesky_solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0]) is None
+    assert lsq._cholesky_solve([[4.0, 2.0], [2.0, 3.0]],
+                               [2.0, 1.0]) == pytest.approx([0.5, 0.0])
 
 
 def test_solver_stops_on_the_lower_bound():
     # the unconstrained minimum x = -1 lies below the bound x >= 0.5
-    x = lsq.least_squares(lambda p: p + 1.0, lambda p: np.ones((1, 1)),
+    x = lsq.least_squares(lambda p: [p[0] + 1.0], lambda p: [[1.0]],
                           [3.0], [0.5], what="bounded")
     assert x[0] == 0.5
 
 
 def test_residual_turning_nan_ends_in_fit_error():
-    ts = np.arange(5.0)
+    ts = [float(t) for t in range(5)]
     evaluations = []
 
     def residual(p):
         evaluations.append(1)
-        out = p[0] * ts - 1.0
-        return out if len(evaluations) == 1 else out * np.nan
+        out = [p[0] * t - 1.0 for t in ts]
+        return out if len(evaluations) == 1 else [v * math.nan for v in out]
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FitError, match=r"not finite .* after \d+ "
                                            r"evaluations") as info:
-            lsq.least_squares(residual, lambda p: ts[:, None], [0.0], [-1.0],
+            lsq.least_squares(residual, lambda p: [ts], [0.0], [-1.0],
                               what="nan")
     assert f"after {len(evaluations)} evaluations" in str(info.value)
 
 
 def test_non_finite_seed_residual_ends_in_fit_error():
     with pytest.raises(FitError, match="seed is not finite after 1 evaluation$"):
-        lsq.least_squares(lambda p: np.array([np.inf]),
-                          lambda p: np.ones((1, 1)), [1.0], [0.0], what="inf")
+        lsq.least_squares(lambda p: [math.inf], lambda p: [[1.0]], [1.0],
+                          [0.0], what="inf")
 
 
 def test_non_finite_jacobian_ends_in_fit_error():
     with pytest.raises(FitError, match="Jacobian is not finite"):
-        lsq.least_squares(lambda p: np.array([p[0]]),
-                          lambda p: np.full((1, 1), np.nan), [1.0], [0.0],
-                          what="jac")
+        lsq.least_squares(lambda p: [p[0]], lambda p: [[math.nan]], [1.0],
+                          [0.0], what="jac")
 
 
 @pytest.mark.parametrize("fit", [

@@ -69,6 +69,12 @@ def test_airtime_rejects_bad_rate(layout):
         packet_airtime(layout, 10, 0.0)
 
 
+def test_airtime_rejects_a_rate_so_small_the_airtime_overflows(layout):
+    with pytest.raises(ValueError, match="airtime at 5e-324 bit/s must be a "
+                                         "finite number, got inf"):
+        packet_airtime(layout, 10, 5e-324)
+
+
 def test_airtime_rejects_a_payload_the_frame_cannot_carry(layout):
     with pytest.raises(ValueError, match="msdu_octets 107 exceeds the layout "
                                          "maximum 106"):
