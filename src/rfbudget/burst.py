@@ -107,28 +107,33 @@ class BurstReport:
     _cumulative_joules: array.array = field(repr=False)
     _frame_bits: tuple[int, ...] = field(repr=False)
 
-    def sample_rows(self) -> Iterator[tuple[int, int, float]]:
-        """(packet, bit, running total in uJ) for every transmitted bit."""
-        totals = iter(self._cumulative_joules)
+    def _positions(self) -> Iterator[tuple[int, int]]:
+        """(packet, bit) of every transmitted bit, both 1-based."""
         for packet, bits in enumerate(self._frame_bits, 1):
             for bit in range(1, bits + 1):
-                yield packet, bit, next(totals) * 1e6
+                yield packet, bit
+
+    def sample_rows(self) -> Iterator[tuple[int, int, float]]:
+        """(packet, bit, running total in uJ) for every transmitted bit."""
+        for (packet, bit), total in zip(self._positions(),
+                                        self._cumulative_joules):
+            yield packet, bit, total * 1e6
+
+    @cached_property
+    def _sample_indices(self) -> np.ndarray:
+        """Row 0 holds ``sample_packet``, row 1 ``sample_bit``."""
+        import numpy as np
+
+        pairs = np.array(list(self._positions()), dtype=np.int32)
+        return pairs.reshape(-1, 2).T.copy()
 
     @cached_property
     def sample_packet(self) -> np.ndarray:
-        import numpy as np
-
-        bits = np.asarray(self._frame_bits, dtype=np.int64)
-        return np.repeat(np.arange(1, bits.size + 1, dtype=np.int32), bits)
+        return self._sample_indices[0]
 
     @cached_property
     def sample_bit(self) -> np.ndarray:
-        import numpy as np
-
-        bits = np.asarray(self._frame_bits, dtype=np.int64)
-        starts = np.repeat(np.cumsum(bits) - bits, bits)
-        bit = np.arange(1, starts.size + 1, dtype=np.int64) - starts
-        return bit.astype(np.int32)
+        return self._sample_indices[1]
 
     @cached_property
     def sample_cumulative_uj(self) -> np.ndarray:

@@ -68,6 +68,8 @@ def cmd_predict_charge(args, config: RunConfig) -> dict:
                         capacitance=args.capacitance_f)
     horizon = finite("--horizon-s", args.horizon_s, gt=0)
     n = count("--points", args.points, ge=2)
+    # the curve's times are horizon * i / (n - 1), so this bounds every one
+    finite("--horizon-s * (--points - 1)", horizon * (n - 1))
     if args.curve_csv:
         times = (horizon * i / (n - 1) for i in range(n))
         write_table(args.curve_csv, ("t_s", "v_v"),

@@ -1,7 +1,7 @@
 """Bounded Levenberg–Marquardt least squares for the package's fits.
 
-The fits have one, two or four parameters and at most a few hundred
-residuals, so each step solves the damped normal equations
+The fits have one, two or four parameters, so each step solves the damped
+normal equations
 
     (JᵀJ + lam * diag(JᵀJ)) step = -Jᵀr
 
@@ -12,10 +12,13 @@ tenfold when one does; a lower bound holds by clipping the step.
 Everything is plain floats and lists: ``residual(x)`` returns a list of
 floats, ``jacobian(x)`` returns one list per parameter (the derivatives of
 every residual with respect to it), and ``x`` is a list. Dot products use
-``math.fsum``.
+``math.fsum``. That needs no numpy import, but every evaluation loops
+over the rows in Python, so on inputs of thousands of rows a vectorised
+solver is faster.
 """
 
 import math
+from itertools import chain
 from operator import mul
 
 from .errors import FitError
@@ -31,13 +34,12 @@ MAX_NFEV = 1000
 
 
 def _dot(a, b) -> float:
-    products = list(map(mul, a, b))
     try:
-        return math.fsum(products)
+        return math.fsum(map(mul, a, b))
     except (OverflowError, ValueError):
         # fsum raises where the sum overflows or meets inf - inf; the
         # plain sum gives the inf or nan that the solver's checks expect
-        return sum(products)
+        return sum(map(mul, a, b))
 
 
 def _cholesky_solve(a, b):
@@ -88,13 +90,18 @@ def least_squares(residual, jacobian, x0, lower, *, what: str) -> list:
     lam = 1e-3
     while True:
         jac = jacobian(x)
-        if not all(map(math.isfinite, (v for column in jac for v in column))):
-            raise fail("the Jacobian is not finite")
         minus_jtr = [-_dot(column, r) for column in jac]
-        hess = [[_dot(a, b) for b in jac] for a in jac]
-        # A finite diagonal bounds every entry (Cauchy-Schwarz), so enough
-        # damping always makes the factorisation succeed.
+        hess = [[0.0] * len(jac) for _ in jac]
+        for i, a in enumerate(jac):
+            for k in range(i + 1):
+                hess[i][k] = hess[k][i] = _dot(a, jac[k])
+        # The diagonal holds each column's sum of squares, so it is finite
+        # unless the Jacobian is not or the sums overflow. A finite diagonal
+        # bounds every entry (Cauchy-Schwarz), so enough damping always
+        # makes the factorisation succeed.
         if not all(math.isfinite(row[k]) for k, row in enumerate(hess)):
+            if not all(map(math.isfinite, chain.from_iterable(jac))):
+                raise fail("the Jacobian is not finite")
             raise fail("the normal equations overflow")
         # a parameter the residuals do not depend on gets unit scale
         scale = [row[k] if row[k] > 0.0 else 1.0 for k, row in enumerate(hess)]

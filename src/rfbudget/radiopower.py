@@ -117,25 +117,27 @@ def fit_sigmoid(points: Sequence[CalibrationPoint]) -> SigmoidCoefficients:
         # min before max, so that a nan exponent stays nan
         return max(min(raw, _EXP_CLIP), -_EXP_CLIP)
 
+    # The exponents inside the clip, the common case, skip the call.
     def residual(params):
         a1, a2, a3, a4 = params
-        return [a1 - a2 / (math.exp(clipped(a3 * (c - a4))) + 1.0) - p
-                for c, p in zip(cs, ps)]
+        return [a1 - a2 / (math.exp(x if -_EXP_CLIP < x < _EXP_CLIP
+                                    else clipped(x)) + 1.0) - p
+                for x, p in zip([a3 * (c - a4) for c in cs], ps)]
 
     def jacobian(params):
         a1, a2, a3, a4 = params
-        columns = [[1.0] * len(cs), [], [], []]
+        qs, dxs = [], []
         for c in cs:
             raw = a3 * (c - a4)
-            e = math.exp(clipped(raw))
+            inside = -_EXP_CLIP < raw < _EXP_CLIP
+            e = math.exp(raw if inside else clipped(raw))
             q = 1.0 / (e + 1.0)
+            qs.append(-q)
             # d(residual)/d(exponent) = a2 e q^2, grouped so that e q <= 1
             # keeps it finite; zero where the clip holds the exponent fixed.
-            dx = a2 * (e * q) * q if abs(raw) < _EXP_CLIP else 0.0
-            columns[1].append(-q)
-            columns[2].append(dx * (c - a4))
-            columns[3].append(-dx * a3)
-        return columns
+            dxs.append(a2 * (e * q) * q if inside else 0.0)
+        return [[1.0] * len(cs), qs, [dx * (c - a4) for dx, c in zip(dxs, cs)],
+                [-dx * a3 for dx in dxs]]
 
     return SigmoidCoefficients(*least_squares(
         residual, jacobian, [a1_0, a2_0, a3_0, a4_0],

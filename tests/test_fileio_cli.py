@@ -455,6 +455,20 @@ def test_cli_predict_charge_streams_the_curve_rows(tmp_path, monkeypatch,
                                                               rel=1e-5)
 
 
+def test_cli_predict_charge_rejects_a_horizon_whose_times_overflow(tmp_path,
+                                                                  capsys):
+    # 1e307 is finite, but horizon * i overflows from i = 18 of 101 points
+    curve = tmp_path / "curve.csv"
+    status, out, err = run_cli(capsys, [
+        "predict-charge", "--v-oc", "3", "--r-ohm", "800",
+        "--capacitance-f", "1e-3", "--horizon-s", "1e307",
+        "--curve-csv", str(curve)])
+    assert (status, out) == (1, "")
+    assert err == ("error: --horizon-s * (--points - 1) must be a finite "
+                   "number, got inf\n")
+    assert not curve.exists()
+
+
 def test_cli_fit_power(tmp_path, capsys):
     from rfbudget import DeviceProfile, tx_power_from_current
     truth = DeviceProfile(alpha1=4.0, alpha2=40.0, alpha3=0.5, alpha4=14.0)
@@ -836,7 +850,8 @@ def valid_argvs(tmp_path_factory):
             "--capacitance-f": "0.0022", "--v-oc": "3.0"}),
         ("predict-charge", {"--v-oc": "3", "--r-ohm": "800",
                             "--capacitance-f": "0.00012", "--horizon-s": "1",
-                            "--points": "11"}),
+                            "--points": "11",
+                            "--curve-csv": str(directory / "curve.csv")}),
         ("ocv", {"--p-dbm": "-5"}),
         ("packet-cost", {"--msdu-octets": "10", "--data-rate-bps": "250000",
                          "--vcc-v": "2.5", "--current-ma": "10"}),

@@ -259,6 +259,16 @@ def test_non_finite_jacobian_ends_in_fit_error():
                           [0.0], what="jac")
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_infinite_jacobian_is_not_reported_as_an_overflow(bad):
+    # an infinite entry also makes JᵀJ infinite; the Jacobian is named
+    with pytest.raises(FitError, match="the Jacobian is not finite after 1 "
+                                       "evaluation$"):
+        lsq.least_squares(lambda p: [p[0], p[1]],
+                          lambda p: [[1e200, 1.0], [bad, 1.0]],
+                          [1.0, 1.0], [0.0, 0.0], what="jac")
+
+
 @pytest.mark.parametrize("fit", [
     lambda s, cap, v_oc: harvest.fit_charge_model(s, cap),
     lambda s, cap, v_oc: harvest.fit_r_known_voc(s, cap, v_oc),
