@@ -181,31 +181,59 @@ class _Drain:
         ``charge_per_bit`` is supply current (A) / data rate (bit/s).
         When ``out`` is given (``burst_energy`` passes an
         ``array.array("d")``; anything with ``append`` works), the running
-        burst total (J) is appended after every bit. Returns the energy
-        (J) drawn by this segment.
+        burst total (J) is appended after every bit; after a depletion
+        error its contents are unspecified. Returns the energy (J) drawn
+        by this segment.
+
+        Each bit is one statement with no test. Depletion shows either as
+        the ValueError ``math.sqrt`` raises on a negative argument or in
+        the one test of the argument after the segment. Only then is the
+        segment replayed from its start with a test after every bit
+        (``_raise_depleted``), which repeats the same float operations and
+        so names the same first bit that brought the argument to <= 0.
         """
         w0 = self._w0
         c2 = self._c2
-        total = self.total_joules
-        start = total
+        start = total = self.total_joules
         b = charge_per_bit
         sqrt = math.sqrt
-        append = out.append if out is not None else None
-        m = w0 - c2 * total
+        try:
+            if out is None:
+                for _ in range(n_bits >> 2):
+                    total += b * sqrt(w0 - c2 * total)
+                    total += b * sqrt(w0 - c2 * total)
+                    total += b * sqrt(w0 - c2 * total)
+                    total += b * sqrt(w0 - c2 * total)
+                for _ in range(n_bits & 3):
+                    total += b * sqrt(w0 - c2 * total)
+            else:
+                append = out.append
+                for _ in range(n_bits):
+                    total += b * sqrt(w0 - c2 * total)
+                    append(total)
+        except ValueError:
+            self._raise_depleted(start, n_bits, b, packet, segment)
+        if w0 - c2 * total <= 0.0:
+            self._raise_depleted(start, n_bits, b, packet, segment)
+        self.total_joules = total
+        return total - start
+
+    def _raise_depleted(self, total: float, n_bits: int, charge_per_bit: float,
+                        packet, segment) -> None:
+        """Replay a segment from ``total`` bit by bit; at the first bit
+        that leaves a square-root argument <= 0, store that total and
+        raise EscDepletedError naming the bit."""
+        w0 = self._w0
+        c2 = self._c2
         for i in range(n_bits):
-            total += b * sqrt(m)
-            m = w0 - c2 * total
-            if m <= 0.0:
+            total += charge_per_bit * math.sqrt(w0 - c2 * total)
+            if w0 - c2 * total <= 0.0:
                 self.total_joules = total
                 raise EscDepletedError(
                     f"energy store depleted at bit {i + 1} of the "
                     f"{segment or 'segment'}"
                     + (f" in packet {packet}" if packet is not None else ""),
                     packet=packet, segment=segment, bit=i + 1)
-            if append is not None:
-                append(total)
-        self.total_joules = total
-        return total - start
 
 
 def first_bit_energy(v_start: float, supply_current_ma: float,

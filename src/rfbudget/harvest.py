@@ -182,6 +182,17 @@ def _r_floor(capacitance: float) -> float:
     return max(1e-12, sys.float_info.min / capacitance)
 
 
+def _off_floor(r_eq: float, capacitance: float) -> float:
+    """A fitted ``r_eq``, unless the fit ended on its lower bound: the
+    solver then stopped where clipping put it, not at a minimum."""
+    floor = _r_floor(capacitance)
+    if r_eq <= floor:
+        raise FitError(
+            f"the fit hit the lower bound {floor:g} ohm on r_eq; the trace "
+            f"does not constrain it at capacitance {capacitance:g} F")
+    return r_eq
+
+
 def fit_charge_model(samples: Sequence[VoltageSample], capacitance: float) -> ChargeModel:
     """Least-squares fit of (v_oc, r_eq) to a charging trace.
 
@@ -232,7 +243,8 @@ def fit_charge_model(samples: Sequence[VoltageSample], capacitance: float) -> Ch
                                [v_oc0, _seeded(r0, capacitance)],
                                [1e-12, _r_floor(capacitance)],
                                what="charge-model")
-    return ChargeModel(v_oc=v_oc, r_eq=r_eq, capacitance=capacitance)
+    return ChargeModel(v_oc=v_oc, r_eq=_off_floor(r_eq, capacitance),
+                       capacitance=capacitance)
 
 
 def fit_r_known_voc(samples: Sequence[VoltageSample], capacitance: float,
@@ -277,4 +289,5 @@ def fit_r_known_voc(samples: Sequence[VoltageSample], capacitance: float,
 
     (r_eq,) = least_squares(residual, jacobian, [r0],
                             [_r_floor(capacitance)], what="impedance")
-    return ChargeModel(v_oc=v_oc, r_eq=r_eq, capacitance=capacitance)
+    return ChargeModel(v_oc=v_oc, r_eq=_off_floor(r_eq, capacitance),
+                       capacitance=capacitance)

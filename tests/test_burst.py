@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfbudget import (BrownoutWarning, ChargeModel, DeviceProfile,
@@ -12,6 +12,7 @@ from rfbudget import (BrownoutWarning, ChargeModel, DeviceProfile,
                       interpacket_overhead, max_packets, packet_airtime,
                       protocol_overhead, segment_energy, sleep_energy,
                       wakeup_energy)
+from rfbudget import burst as burst_module
 from rfbudget.burst import _Drain, _frame_cascade
 from conftest import (ALPHA1, ALPHA2, ALPHA3, ALPHA4, REF_CAP_F,
                       REF_CURRENT_MA, REF_RATE_BPS, REF_TX_DBM, REF_V0)
@@ -481,6 +482,84 @@ def test_burst_samples_equal_per_bit_reference(plans, capacitance, v0,
     assert_same_arrays(sample_arrays(slim),
                        (np.empty(0, np.int32), np.empty(0, np.int32),
                         np.empty(0, np.float64)))
+
+
+class CheckedDrain(_Drain):
+    """The per-bit recursion with a depletion test after every bit: the
+    reference that ``_Drain.drain_bits`` must equal float for float."""
+
+    __slots__ = ()
+
+    def drain_bits(self, n_bits, charge_per_bit, *, packet=None,
+                   segment=None, out=None):
+        start = total = self.total_joules
+        for i in range(n_bits):
+            total += charge_per_bit * math.sqrt(self._w0 - self._c2 * total)
+            if self._w0 - self._c2 * total <= 0.0:
+                self.total_joules = total
+                where = f" in packet {packet}" if packet is not None else ""
+                raise EscDepletedError(
+                    f"energy store depleted at bit {i + 1} of the "
+                    f"{segment or 'segment'}{where}",
+                    packet=packet, segment=segment, bit=i + 1)
+            if out is not None:
+                out.append(total)
+        self.total_joules = total
+        return total - start
+
+
+def run_on(drain_class, call):
+    """``call()`` with ``burst._Drain`` replaced by ``drain_class``: its
+    result, or the EscDepletedError it raised as (message, packet,
+    segment, bit), and the withdrawal total its last drain holds."""
+    drains = []
+
+    class Recorded(drain_class):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            drains.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(burst_module, "_Drain", Recorded)
+        try:
+            result = call()
+        except EscDepletedError as exc:
+            result = (str(exc), exc.packet, exc.segment, exc.bit)
+    return result, drains[-1].total_joules
+
+
+small_stores = st.floats(-9.0, -2.0).map(lambda e: 10.0 ** e)
+
+
+@settings(deadline=None, max_examples=150)
+@given(plans=mixed_plans, capacitance=small_stores, v0=st.floats(0.5, 3.6),
+       current_ma=st.floats(0.0, 30.0), n_bits=st.integers(0, 3000),
+       include_final_gap=st.booleans())
+@example(plans=[PacketPlan(106, 3.5, 250e3)], capacitance=1e-9, v0=3.0,
+         current_ma=20.0, n_bits=1, include_final_gap=True)
+@example(plans=[PacketPlan(106, 3.5, 250e3)] * 2, capacitance=1e-5, v0=3.0,
+         current_ma=20.0, n_bits=1063, include_final_gap=True)
+def test_drain_equals_the_checked_reference(plans, capacitance, v0,
+                                            current_ma, n_bits,
+                                            include_final_gap):
+    profile = DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
+                            alpha4=ALPHA4)
+    layout = FrameLayout()
+    calls = [
+        lambda: segment_energy(v0, current_ma, 250e3, n_bits, capacitance),
+        lambda: protocol_overhead(layout, plans[0].msdu_octets, current_ma,
+                                  plans[0].data_rate, v0, capacitance),
+        *(lambda record=record: burst_energy(
+            plans, EscState(capacitance, v0), profile, layout,
+            include_final_gap=include_final_gap, brownout_v=None,
+            record_samples=record) for record in (True, False))]
+    for call in calls:
+        got, got_total = run_on(_Drain, call)
+        expected, expected_total = run_on(CheckedDrain, call)
+        assert got == expected
+        assert got_total == expected_total
 
 
 def test_sample_rows_equal_the_sample_arrays(sig_profile, layout):

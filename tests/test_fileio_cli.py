@@ -111,8 +111,12 @@ def test_load_ocv_table_names_the_line_of_a_bad_step(tmp_path):
 BIG_FIELD = b"1" * 131_073
 LOADERS = [(load_voltage_trace, TRACE_HEADER), (load_ocv_table, OCV_HEADER),
            (load_calibration, CALIBRATION_HEADER), (load_plan, PLAN_HEADER)]
+# Finite numbers at the ends of the float range: the smallest subnormal,
+# tiny and huge normals, and a value near the largest float.
+FINITE_EXTREMES = (5e-324, 1e-300, 1e300, 1.7e308)
 CSV_FIELDS = st.one_of(
     st.floats().map(lambda x: repr(x).encode()),
+    st.sampled_from(FINITE_EXTREMES).map(lambda x: repr(x).encode()),
     st.integers(-300, 300).map(lambda n: str(n).encode()),
     st.sampled_from([b"", b" ", b'"', b'""', b'"1,2"', b'"1\n2"', b"\r",
                      b"\x00", b"\xff\xfe", b"nan", b"1e400", b"t_s",
@@ -224,7 +228,8 @@ DEEP_LIST = nested(100_000, "list")
 JSON_VALUES = st.one_of(
     st.recursive(
         st.none() | st.booleans() | st.floats() | st.integers()
-        | st.just(10**400) | st.text(max_size=4),
+        | st.sampled_from(FINITE_EXTREMES) | st.just(10**400)
+        | st.text(max_size=4),
         lambda inner: (st.lists(inner, max_size=3)
                        | st.dictionaries(st.text(max_size=3), inner,
                                          max_size=3)),
@@ -393,6 +398,18 @@ def test_cli_fit_charge_known_voc(tmp_path, capsys):
     assert status == 0, err
     record = json.loads(out)
     assert record["r_eq_ohm"] == pytest.approx(3.7e3, rel=1e-3)
+
+
+def test_cli_fit_charge_on_its_lower_bound_is_one_error_line(tmp_path,
+                                                           capsys):
+    trace = trace_file(tmp_path, "0,0\n0.5,1.0\n1.0,1.6\n2.0,2.3\n")
+    status, out, err = run_cli(capsys, [
+        "fit-charge", "--trace", trace, "--capacitance-f", "1e300",
+        "--v-oc", "3"])
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "lower bound" in err
 
 
 def test_cli_predict_charge_curve(tmp_path, capsys):
@@ -834,7 +851,7 @@ def numeric_flags():
 
 NUMERIC_FLAGS = numeric_flags()
 BAD_FLAG_VALUES = ["nan", "inf", "-inf", "1" + "0" * 400, "0", "-1",
-                   "5e-324", "1e-300", "1e300", "1.7e308"]
+                   *map(repr, FINITE_EXTREMES)]
 
 
 @pytest.fixture(scope="module")

@@ -194,14 +194,37 @@ def test_fit_rejects_a_seed_without_a_time_constant(fit):
         fit()
 
 
+@pytest.mark.parametrize("fit", [
+    lambda: fit_charge_model(TINY_CAP_TRACE, 1e300),
+    lambda: fit_r_known_voc(TINY_CAP_TRACE, 1e300, 3.0),
+], ids=["charge", "voc"])
+def test_fit_that_ends_on_the_lower_bound_is_an_error(fit):
+    # The seed r_eq (about 1e-300 ohm) lies below the 1e-12 ohm bound, the
+    # clipped r_eq gives a time constant of 1e288 s, the Jacobian column
+    # underflows to zero and the solver stops where clipping put it.
+    with pytest.raises(FitError, match="hit the lower bound 1e-12 ohm on "
+                                       "r_eq"):
+        fit()
+
+
 def test_fit_keeps_the_time_constant_positive_at_a_tiny_capacitance():
-    # The seed r_eq is about 3e-8 ohm, and 1e-12 ohm times 1e-315 F
-    # underflows to a zero time constant. The lower bound on r_eq rises so
-    # that r_eq * C stays a positive float and no step divides by zero.
+    # 1e-12 ohm times 1e-315 F underflows to a zero time constant, so the
+    # lower bound on r_eq rises to about 2.2e7 ohm: r_eq * C stays a
+    # positive float and no step divides by zero. The seed r_eq (about
+    # 2.6e6 ohm, from the first sample and a v_oc seed far below 3 V) lies
+    # below that bound; the fit starts on it and leaves it.
+    truth = ChargeModel(v_oc=3.0, r_eq=3e8, capacitance=1e-315)
+    trace = [VoltageSample(t, charge_voltage(truth, t))
+             for t in (0.0, 1e-309, 2e-309, 3e-309)]
+    model = fit_charge_model(trace, 1e-315)
+    assert model.r_eq == pytest.approx(3e8, rel=1e-6)
+    assert math.isfinite(model.tau) and model.tau > 0.0
+    # Here the data want a time constant far below the least positive
+    # float, and the fit stays on the bound: an error, not a model.
     trace = [VoltageSample(t, v) for t, v in
              ((0.0, 0.0), (1e-322, 1.0), (2e-322, 1.0), (3e-322, 1.0))]
-    model = fit_charge_model(trace, 1e-315)
-    assert math.isfinite(model.tau) and model.tau > 0.0
+    with pytest.raises(FitError, match="hit the lower bound 2.22507e.07 ohm"):
+        fit_charge_model(trace, 1e-315)
 
 
 # time_to_voltage -----------------------------------------------------------
