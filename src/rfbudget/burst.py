@@ -438,41 +438,63 @@ def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
     """Largest N <= cap_n such that every burst of 1..N identical packets
     ends at or above ``v_cutoff``; 0 when even one packet would break it.
 
-    One forward pass makes the withdrawals of ``burst_energy`` with the
-    same floats. It tests the burst ending at each packet by withdrawing
-    the sleep ramp, checking the cutoff and rewinding. Without the final
-    gap it drains the candidate packet from the pre-gap state and rewinds
-    that too. It stops at the first burst that fails or depletes the store.
+    One forward walk makes the withdrawals of ``burst_energy`` with every
+    gap counted, with the same floats, and drains each packet once: it
+    tests the burst ending at each packet by withdrawing the sleep ramp,
+    checking the cutoff and rewinding, and stops at the first burst that
+    fails or depletes the store. A burst without the final gap makes the
+    same withdrawals but one gap, and every bit and lump step is
+    non-decreasing in the withdrawn total on a store that is not depleted,
+    so it holds wherever the gapped burst holds. Only the first failing
+    packet is drained once more, from the pre-gap state, to test it as
+    the gapless last packet.
     """
     count("cap_n", cap_n, ge=1)
     if initial.voltage <= finite("v_cutoff", v_cutoff, ge=0):
         return 0
     (current_ma,) = _supply_currents((template,), profile, layout)
     drain = _Drain(initial.voltage, initial.capacitance)
+    # MHR, MSDU and FCS share one charge per bit, so one run drains them
+    # with the floats of three.
+    current_a = current_ma * 1e-3
+    preamble_bits = layout.preamble_bits
+    preamble_charge = current_a / layout.preamble_rate
+    body_bits = layout.frame_bits(template.msdu_octets) - preamble_bits
+    body_charge = current_a / template.data_rate
 
-    def frame(after_gap: bool) -> None:
-        if after_gap:
-            drain.withdraw(interpacket_overhead(profile, drain.voltage,
-                                                current_ma) * 1e-6)
-        _frame_cascade(drain, layout, template.msdu_octets, current_ma,
-                       template.data_rate)
+    def burst_holds(after_gap: bool) -> bool:
+        """Drain the next packet and test the burst ending with it; leaves
+        the drain after the frame when the burst holds."""
+        try:
+            if after_gap:
+                drain.withdraw(interpacket_overhead(profile, drain.voltage,
+                                                    current_ma) * 1e-6)
+            drain.drain_bits(preamble_bits, preamble_charge)
+            drain.drain_bits(body_bits, body_charge)
+            pre_sleep = drain.total_joules
+            drain.withdraw(sleep_energy(profile, drain.voltage, current_ma) * 1e-6)
+        except EscDepletedError:
+            return False
+        holds = drain.voltage >= v_cutoff
+        drain.total_joules = pre_sleep
+        return holds
 
-    n = 0
     try:
         drain.withdraw(wakeup_energy(profile, drain.voltage,
                                      template.msdu_octets) * 1e-6)
-        while n < cap_n:
-            pre_gap = drain.total_joules
-            frame(n > 0 and include_final_gap)
-            pre_sleep = drain.total_joules
-            drain.withdraw(sleep_energy(profile, drain.voltage, current_ma) * 1e-6)
-            if drain.voltage < v_cutoff:
-                break
-            n += 1
-            drain.total_joules = pre_sleep
-            if not include_final_gap and 1 < n < cap_n:
-                drain.total_joules = pre_gap
-                frame(True)
     except EscDepletedError:
-        pass
+        return 0
+    n = 0
+    while n < cap_n:
+        pre_gap = drain.total_joules
+        if burst_holds(n > 0):
+            n += 1
+            continue
+        if n > 0 and not include_final_gap:
+            # The first failing packet may still end a burst that skips
+            # the gap before it; no longer burst can hold.
+            drain.total_joules = pre_gap
+            if burst_holds(False):
+                n += 1
+        break
     return n

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,73 @@ def test_max_packets_depletion_in_the_skipped_gap(layout):
     assert got == 2
     assert got == linear_scan_max_packets(initial, 0.0, template(), profile,
                                           layout, 8, include_final_gap=False)
+
+
+# Gap overheads that test the planner's boundary: no gap energy, a gap
+# below an ulp of the withdrawn total, and gaps or sleep ramps long enough
+# to deplete a small store.
+GAP_PROFILES = {
+    "measured": {},
+    "no gap energy": dict(txrx_off_time=0.0, txrx_on_time=0.0),
+    "gap below an ulp": dict(txrx_off_time=1e-12, txrx_on_time=1e-12),
+    "long gap": dict(txrx_on_time=80.0),
+    "long sleep": dict(sleep_time=200.0),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(sorted(GAP_PROFILES)),
+       cap_exp=st.floats(min_value=-5.0, max_value=-2.3),
+       v0=st.floats(min_value=1.0, max_value=3.6),
+       msdu=st.integers(min_value=0, max_value=106),
+       rate=st.sampled_from([250e3, 1e6, 2e6]),
+       k=st.integers(min_value=1, max_value=10),
+       cutoff_gap=st.booleans(),
+       ulps=st.sampled_from([-1, 0, 1]))
+def test_max_packets_equals_linear_scan_at_a_burst_boundary(
+        kind, cap_exp, v0, msdu, rate, k, cutoff_gap, ulps):
+    # The cutoff sits on the final voltage of a k-packet burst, with or
+    # without the final gap, or one ulp either side of it.
+    profile = DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
+                            alpha4=ALPHA4, **GAP_PROFILES[kind])
+    layout = FrameLayout()
+    initial = EscState(capacitance=10.0 ** cap_exp, voltage=v0)
+    plan = template(msdu=msdu, rate=rate)
+    try:
+        cutoff = burst_energy([plan] * k, initial, profile, layout,
+                              include_final_gap=cutoff_gap, brownout_v=None,
+                              record_samples=False).final_state.voltage
+    except EscDepletedError:
+        cutoff = 0.0
+    if ulps:
+        cutoff = max(0.0, math.nextafter(cutoff, ulps * math.inf))
+    for final_gap in (True, False):
+        got = max_packets(initial, cutoff, plan, profile, layout, 12,
+                          include_final_gap=final_gap)
+        assert got == linear_scan_max_packets(initial, cutoff, plan, profile,
+                                              layout, 12, final_gap)
+
+
+@pytest.mark.parametrize("final_gap", [True, False])
+@pytest.mark.parametrize("cap_n", [1, 5, 300])
+def test_max_packets_drains_each_packet_once(sig_profile, layout, monkeypatch,
+                                             final_gap, cap_n):
+    # The walk drains the N answer packets and the packet that failed;
+    # without the final gap it drains that packet once more, gapless.
+    bits = []
+    drain_bits = rfbudget.burst._Drain.drain_bits
+
+    def counted(self, n_bits, *args, **kwargs):
+        bits.append(n_bits)
+        return drain_bits(self, n_bits, *args, **kwargs)
+
+    monkeypatch.setattr(rfbudget.burst._Drain, "drain_bits", counted)
+    initial = EscState(capacitance=2e-3, voltage=2.5)
+    n = max_packets(initial, 1.8, template(), sig_profile, layout, cap_n,
+                    include_final_gap=final_gap)
+    assert n == min(cap_n, 17)
+    frames = n + 1 if final_gap else n + 2
+    assert sum(bits) <= frames * layout.frame_bits(template().msdu_octets)
 
 
 def test_planner_simulates_each_question_once(sig_profile, layout, monkeypatch):
