@@ -25,7 +25,7 @@ from __future__ import annotations
 import array
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -85,9 +85,17 @@ class PacketLedger:
     sleep_energy_uj: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class BurstReport:
     """Full ledger of one burst (wake-up, N packets, sleep).
+
+    ``packets`` holds one PacketLedger per packet. The drain records one
+    compact row per packet (its plan and supply current, the withdrawal
+    totals at frame start and after each protocol segment, and its gap and
+    sleep energies); the ledger is built from those rows when first read,
+    with the same floats the drain's own returns and voltages give, so a
+    caller that reads only the totals builds none. Equality compares the
+    rows, and so never builds a ledger.
 
     ``sample_packet``/``sample_bit``/``sample_cumulative_uj`` are parallel
     arrays with one entry per transmitted bit: the 1-based packet index
@@ -101,11 +109,35 @@ class BurstReport:
     ``total_energy_uj`` additionally includes the final sleep ramp.
     """
 
-    packets: tuple[PacketLedger, ...]
     total_energy_uj: float
     final_state: EscState
-    _cumulative_joules: array.array = field(repr=False)
-    _frame_bits: tuple[int, ...] = field(repr=False)
+    _cumulative_joules: array.array
+    _frame_bits: tuple[int, ...]
+    # Rows of (plan, supply current mA, _frame_cascade totals J, gap uJ,
+    # sleep uJ); with v0^2, 2/C and the wake-up energy (uJ) they give
+    # every ledger float.
+    _rows: tuple[tuple, ...]
+    _w0: float
+    _c2: float
+    _wake_uj: float
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(packets={self.packets!r}, "
+                f"total_energy_uj={self.total_energy_uj!r}, "
+                f"final_state={self.final_state!r})")
+
+    @cached_property
+    def packets(self) -> tuple[PacketLedger, ...]:
+        w0, c2 = self._w0, self._c2
+        return tuple(
+            PacketLedger(
+                index=j, plan=plan, supply_current_ma=current_ma,
+                v_start=math.sqrt(w0 - c2 * totals[0]),
+                frame=_breakdown(w0, c2, totals),
+                wake_energy_uj=self._wake_uj if j == 1 else 0.0,
+                interpacket_energy_uj=gap_uj, sleep_energy_uj=sleep_uj)
+            for j, (plan, current_ma, totals, gap_uj, sleep_uj)
+            in enumerate(self._rows, 1))
 
     def _positions(self) -> Iterator[tuple[int, int]]:
         """(packet, bit) of every transmitted bit, both 1-based."""
@@ -318,18 +350,34 @@ def segment_energy(v_start: float, supply_current_ma: float, data_rate: float,
 
 def _frame_cascade(drain: _Drain, layout: FrameLayout, msdu_octets: int,
                    supply_current_ma: float, data_rate: float, *,
-                   packet=None, out=None) -> FrameBreakdown:
-    """Drain one frame through the four protocol segments in order."""
+                   packet=None, out=None) -> tuple[float, ...]:
+    """Drain one frame through the four protocol segments in order; the
+    withdrawal totals (J) at its start and after each segment."""
     current_a = supply_current_ma * 1e-3
-    energies, voltages = [], []
-    for segment, bits, rate in (
-            ("phy", layout.preamble_bits, layout.preamble_rate),
-            ("mhr", 8 * layout.mhr_octets, data_rate),
-            ("msdu", 8 * msdu_octets, data_rate),
-            ("fcs", 8 * layout.fcs_octets, data_rate)):
-        energies.append(drain.drain_bits(bits, current_a / rate, packet=packet,
-                                         segment=segment, out=out) * 1e6)
-        voltages.append(drain.voltage)
+    drain_bits = drain.drain_bits
+    start = drain.total_joules
+    drain_bits(layout.preamble_bits, current_a / layout.preamble_rate,
+               packet=packet, segment="phy", out=out)
+    after_phy = drain.total_joules
+    drain_bits(8 * layout.mhr_octets, current_a / data_rate,
+               packet=packet, segment="mhr", out=out)
+    after_mhr = drain.total_joules
+    drain_bits(8 * msdu_octets, current_a / data_rate,
+               packet=packet, segment="msdu", out=out)
+    after_msdu = drain.total_joules
+    drain_bits(8 * layout.fcs_octets, current_a / data_rate,
+               packet=packet, segment="fcs", out=out)
+    return start, after_phy, after_mhr, after_msdu, drain.total_joules
+
+
+def _breakdown(w0: float, c2: float, totals: Sequence[float]) -> FrameBreakdown:
+    """The FrameBreakdown of a frame from its ``_frame_cascade`` totals on
+    a drain with squared initial voltage ``w0`` and ``c2`` = 2/C. Each
+    energy is the difference ``drain_bits`` returned and each voltage the
+    one ``_Drain.voltage`` gave, float for float."""
+    energies = [(after - before) * 1e6
+                for before, after in zip(totals, totals[1:])]
+    voltages = [math.sqrt(w0 - c2 * total) for total in totals[1:]]
     return FrameBreakdown(*energies, *voltages)
 
 
@@ -346,15 +394,22 @@ def protocol_overhead(layout: FrameLayout, msdu_octets: int,
     finite("data_rate", data_rate, gt=0)
     finite("supply_current_ma", supply_current_ma, ge=0)
     drain = _Drain(v_start, capacitance)
-    return _frame_cascade(drain, layout, msdu_octets, supply_current_ma, data_rate)
+    totals = _frame_cascade(drain, layout, msdu_octets, supply_current_ma,
+                            data_rate)
+    return _breakdown(drain._w0, drain._c2, totals)
 
 
 def _supply_currents(plans: Sequence[PacketPlan], profile: DeviceProfile,
                      layout: FrameLayout) -> list[float]:
-    """Check a burst's inputs; the supply current (mA) of each packet."""
+    """Check a burst's inputs; the supply current (mA) of each packet.
+
+    Each distinct transmit power is converted once, in order of first use,
+    so the first packet whose power is unattainable raises."""
     for k, plan in enumerate(plans, 1):
         layout.check_payload(f"packet {k}: msdu_octets", plan.msdu_octets)
-    return [current_from_tx_power(profile, plan.tx_power) for plan in plans]
+    by_power = {power: current_from_tx_power(profile, power)
+                for power in dict.fromkeys(plan.tx_power for plan in plans)}
+    return [by_power[plan.tx_power] for plan in plans]
 
 
 def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
@@ -391,30 +446,24 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
     currents = _supply_currents(plans, profile, layout)
     cum_joules = array.array("d")
     out = cum_joules if record_samples else None
-    ledger: list[PacketLedger] = []
+    rows = []
 
     wake_uj = wakeup_energy(profile, drain.voltage, plans[0].msdu_octets)
     drain.withdraw(wake_uj * 1e-6, packet=1, segment="wake-up")
 
     for j, (plan, current_ma) in enumerate(zip(plans, currents), 1):
-        v_start = drain.voltage
-        frame = _frame_cascade(drain, layout, plan.msdu_octets, current_ma,
-                               plan.data_rate, packet=j, out=out)
-
+        totals = _frame_cascade(drain, layout, plan.msdu_octets, current_ma,
+                                plan.data_rate, packet=j, out=out)
         gap_uj = 0.0
         sleep_uj = 0.0
         if j < n:
             if include_final_gap or j < n - 1:
-                gap_uj = interpacket_overhead(profile, frame.v_after_fcs, current_ma)
+                gap_uj = interpacket_overhead(profile, drain.voltage, current_ma)
                 drain.withdraw(gap_uj * 1e-6, packet=j, segment="inter-packet")
         else:
-            sleep_uj = sleep_energy(profile, frame.v_after_fcs, current_ma)
+            sleep_uj = sleep_energy(profile, drain.voltage, current_ma)
             drain.withdraw(sleep_uj * 1e-6, packet=j, segment="sleep")
-
-        ledger.append(PacketLedger(
-            index=j, plan=plan, supply_current_ma=current_ma, v_start=v_start,
-            frame=frame, wake_energy_uj=wake_uj if j == 1 else 0.0,
-            interpacket_energy_uj=gap_uj, sleep_energy_uj=sleep_uj))
+        rows.append((plan, current_ma, totals, gap_uj, sleep_uj))
 
     # Every withdrawal is >= 0, so the final voltage is the lowest reached.
     if brownout_v is not None and drain.voltage < brownout_v:
@@ -424,12 +473,12 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
             "unvalidated down there", BrownoutWarning, stacklevel=2)
 
     return BurstReport(
-        packets=tuple(ledger),
         total_energy_uj=drain.total_joules * 1e6,
         final_state=EscState(initial.capacitance, drain.voltage),
         _cumulative_joules=cum_joules,
         _frame_bits=(tuple(layout.frame_bits(plan.msdu_octets)
-                           for plan in plans) if record_samples else ()))
+                           for plan in plans) if record_samples else ()),
+        _rows=tuple(rows), _w0=drain._w0, _c2=drain._c2, _wake_uj=wake_uj)
 
 
 def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,

@@ -253,13 +253,19 @@ def render_record_csv(record: dict) -> str:
 
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a CSV table with every number at 6 significant digits; a
-    non-finite float is a ValueError that names its column."""
+    non-finite float is a ValueError that names its column. On any error
+    while writing, the partial file is removed before the error goes on."""
     path = Path(path)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([
-                _fmt_finite(cell, "column", column)
-                if isinstance(cell, float) else cell
-                for column, cell in zip(header, row, strict=True)])
+    handle = open(path, "w", newline="")
+    try:
+        with handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([
+                    _fmt_finite(cell, "column", column)
+                    if isinstance(cell, float) else cell
+                    for column, cell in zip(header, row, strict=True)])
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfbudget import (BrownoutWarning, ChargeModel, DeviceProfile,
-                      EscDepletedError, EscState, FrameLayout, PacketPlan,
+                      EscDepletedError, EscState, FrameBreakdown, FrameLayout,
+                      PacketLedger, PacketPlan,
                       bit_energy_closed_form, bit_energy_oracle, burst_energy,
                       current_from_tx_power, cycle_report, first_bit_energy,
                       interpacket_overhead, max_packets, packet_airtime,
@@ -592,6 +594,122 @@ def test_cycle_report_burst_equals_a_direct_burst(sig_profile, layout):
     slim = burst_energy(plans, initial, sig_profile, layout, brownout_v=None,
                         record_samples=False)
     assert_same_arrays(sample_arrays(plan.burst), sample_arrays(slim))
+
+
+def reference_ledger(plans, initial, profile, layout, include_final_gap):
+    """The ledger built eagerly: every segment drained on a _Drain, with
+    its energy and the voltage after it read at once."""
+    drain = _Drain(initial.voltage, initial.capacitance)
+    wake_uj = wakeup_energy(profile, drain.voltage, plans[0].msdu_octets)
+    drain.withdraw(wake_uj * 1e-6)
+    ledger = []
+    for j, plan in enumerate(plans, 1):
+        current_ma = current_from_tx_power(profile, plan.tx_power)
+        v_start = drain.voltage
+        energies, voltages = [], []
+        for bits, rate in ((layout.preamble_bits, layout.preamble_rate),
+                           (8 * layout.mhr_octets, plan.data_rate),
+                           (8 * plan.msdu_octets, plan.data_rate),
+                           (8 * layout.fcs_octets, plan.data_rate)):
+            energies.append(
+                drain.drain_bits(bits, current_ma * 1e-3 / rate) * 1e6)
+            voltages.append(drain.voltage)
+        gap_uj = sleep_uj = 0.0
+        if j < len(plans):
+            if include_final_gap or j < len(plans) - 1:
+                gap_uj = interpacket_overhead(profile, drain.voltage, current_ma)
+                drain.withdraw(gap_uj * 1e-6)
+        else:
+            sleep_uj = sleep_energy(profile, drain.voltage, current_ma)
+            drain.withdraw(sleep_uj * 1e-6)
+        ledger.append(PacketLedger(
+            j, plan, current_ma, v_start, FrameBreakdown(*energies, *voltages),
+            wake_uj if j == 1 else 0.0, gap_uj, sleep_uj))
+    return tuple(ledger)
+
+
+@settings(deadline=None)
+@given(plans=mixed_plans, capacitance=st.floats(1e-3, 22e-3),
+       v0=st.floats(2.5, 3.6), include_final_gap=st.booleans(),
+       record_samples=st.booleans())
+def test_lazy_ledger_equals_an_eager_ledger(plans, capacitance, v0,
+                                            include_final_gap, record_samples):
+    profile = DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
+                            alpha4=ALPHA4)
+    layout = FrameLayout()
+    initial = EscState(capacitance, v0)
+    report = burst_energy(plans, initial, profile, layout,
+                          include_final_gap=include_final_gap,
+                          brownout_v=None, record_samples=record_samples)
+    expected = reference_ledger(plans, initial, profile, layout,
+                                include_final_gap)
+    assert report.packets == expected
+    # repr tells -0.0 from 0.0, so every float is the same float.
+    assert repr(report.packets) == repr(expected)
+
+
+def test_cycle_report_builds_the_ledger_on_first_read(sig_profile, layout,
+                                                      monkeypatch):
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(1)
+        return PacketLedger(*args, **kwargs)
+
+    monkeypatch.setattr(burst_module, "PacketLedger", counted)
+    model = ChargeModel(v_oc=3.6, r_eq=800.0, capacitance=2e-3)
+    plan = cycle_report(model, EscState(2e-3, 3.0), 2.2, ref_plan(40),
+                        sig_profile, layout, 64, brownout_v=None)
+    assert plan.n_packets > 1
+    assert "packets" not in vars(plan.burst)
+    assert made == []
+    ledger = plan.burst.packets
+    assert len(ledger) == len(made) == plan.n_packets
+    assert plan.burst.packets is ledger
+
+
+def test_bursts_with_different_ledgers_compare_unequal(sig_profile, layout):
+    plans = [ref_plan(30), ref_plan(0)]
+    initial = EscState(2e-3, 3.2)
+    report = burst_energy(plans, initial, sig_profile, layout, brownout_v=None,
+                          record_samples=False)
+    assert report == burst_energy(plans, initial, sig_profile, layout,
+                                  brownout_v=None, record_samples=False)
+    # Only the first packet's plan differs: every total and the final
+    # state are the same, the ledgers are not.
+    first, second = report._rows
+    other = dataclasses.replace(report,
+                                _rows=((ref_plan(31), *first[1:]), second))
+    assert other.total_energy_uj == report.total_energy_uj
+    assert other.final_state == report.final_state
+    assert other.packets != report.packets
+    assert other != report
+
+
+def test_each_distinct_power_is_converted_once(sig_profile, layout,
+                                               monkeypatch):
+    powers = []
+
+    def counted(profile, tx_power):
+        powers.append(tx_power)
+        return current_from_tx_power(profile, tx_power)
+
+    monkeypatch.setattr(burst_module, "current_from_tx_power", counted)
+    plans = [ref_plan(30), PacketPlan(10, -5.0, 250e3), ref_plan(0),
+             PacketPlan(10, -5.0, 1e6)]
+    report = burst_energy(plans, EscState(2e-3, 3.2), sig_profile, layout,
+                          brownout_v=None)
+    assert powers == [REF_TX_DBM, -5.0]
+    assert [p.supply_current_ma for p in report.packets] == [
+        current_from_tx_power(sig_profile, plan.tx_power) for plan in plans]
+    # The first packet whose power is unattainable still names the error.
+    negative = PacketPlan(10, -35.9, 250e3)
+    too_high = PacketPlan(10, ALPHA1 + 1.0, 250e3)
+    for bad, message in (([negative, too_high], r"-35\.9 dBm must be >= 0"),
+                         ([too_high, negative], "outside the attainable")):
+        with pytest.raises(ValueError, match=message):
+            burst_energy([ref_plan(30), *bad], EscState(2e-3, 3.2),
+                         sig_profile, layout)
 
 
 def test_burst_rejects_oversized_payload(sig_profile, layout):

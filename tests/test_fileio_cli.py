@@ -607,9 +607,11 @@ def test_reports_reject_a_non_finite_value_naming_its_key(render, value):
 
 
 def test_tables_reject_a_non_finite_cell_naming_its_column(tmp_path):
+    path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match="column 'v_v' is nan"):
-        write_table(tmp_path / "t.csv", ("t_s", "v_v"),
-                    [(0.0, 1.0), (1.0, math.nan)])
+        write_table(path, ("t_s", "v_v"), [(0.0, 1.0), (1.0, math.nan)])
+    # The header and the rows before the bad one are not left behind.
+    assert not path.exists()
 
 
 def test_cli_csv_format(capsys):
