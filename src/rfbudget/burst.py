@@ -22,11 +22,11 @@ closed form and the burst accounting.
 
 from __future__ import annotations
 
-import array
 import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .device import (DeviceProfile, EscState, FrameLayout, PacketPlan,
@@ -101,25 +101,26 @@ class BurstReport:
     arrays with one entry per transmitted bit: the 1-based packet index
     (int32), the 1-based bit position within that packet's frame (int32),
     and the running energy total (uJ, float64) including every lump
-    overhead withdrawn so far. The report keeps the running totals (J) the
-    drain recorded bit by bit and the bits of each frame; each array is
-    built from them, loading numpy, when first read. ``sample_rows`` gives
-    the same values as Python numbers without numpy. All are empty when the
-    burst was simulated with ``record_samples=False``.
+    overhead withdrawn so far. ``sample_rows`` gives the same values as
+    Python numbers without numpy. The drain records none of them:
+    ``sample_rows`` replays each frame from its row with the drain's own
+    float operations, and the arrays are built from it, loading numpy,
+    when first read. All are empty when the burst was simulated with
+    ``record_samples=False``.
     ``total_energy_uj`` additionally includes the final sleep ramp.
     """
 
     total_energy_uj: float
     final_state: EscState
-    _cumulative_joules: array.array
-    _frame_bits: tuple[int, ...]
     # Rows of (plan, supply current mA, _frame_cascade totals J, gap uJ,
     # sleep uJ); with v0^2, 2/C and the wake-up energy (uJ) they give
-    # every ledger float.
+    # every ledger float, and with the layout every sample.
     _rows: tuple[tuple, ...]
     _w0: float
     _c2: float
     _wake_uj: float
+    _layout: FrameLayout
+    _samples: bool
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(packets={self.packets!r}, "
@@ -139,40 +140,55 @@ class BurstReport:
             for j, (plan, current_ma, totals, gap_uj, sleep_uj)
             in enumerate(self._rows, 1))
 
-    def _positions(self) -> Iterator[tuple[int, int]]:
-        """(packet, bit) of every transmitted bit, both 1-based."""
-        for packet, bits in enumerate(self._frame_bits, 1):
-            for bit in range(1, bits + 1):
-                yield packet, bit
-
     def sample_rows(self) -> Iterator[tuple[int, int, float]]:
         """(packet, bit, running total in uJ) for every transmitted bit."""
-        for (packet, bit), total in zip(self._positions(),
-                                        self._cumulative_joules):
-            yield packet, bit, total * 1e6
+        if not self._samples:
+            return
+        w0, c2 = self._w0, self._c2
+        for packet, (plan, current_ma, totals, *_) in enumerate(self._rows, 1):
+            runs = _runs(self._layout, plan.msdu_octets, plan.data_rate,
+                         current_ma)
+            bit = 0
+            # The preamble replays from the frame's start, the rest from
+            # the preamble's end.
+            for start, (n_bits, charge) in zip(totals, runs):
+                for total in _steps(w0, c2, start, n_bits, charge):
+                    bit += 1
+                    yield packet, bit, total * 1e6
 
     @cached_property
-    def _sample_indices(self) -> np.ndarray:
-        """Row 0 holds ``sample_packet``, row 1 ``sample_bit``."""
+    def _sample_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         import numpy as np
 
-        pairs = np.array(list(self._positions()), dtype=np.int32)
-        return pairs.reshape(-1, 2).T.copy()
+        # Indices are exact in float64; each column is a fresh array.
+        table = np.fromiter(chain.from_iterable(self.sample_rows()),
+                            dtype=np.float64).reshape(-1, 3)
+        return (table[:, 0].astype(np.int32), table[:, 1].astype(np.int32),
+                table[:, 2].copy())
 
-    @cached_property
-    def sample_packet(self) -> np.ndarray:
-        return self._sample_indices[0]
+    sample_packet = property(lambda self: self._sample_arrays[0])
+    sample_bit = property(lambda self: self._sample_arrays[1])
+    sample_cumulative_uj = property(lambda self: self._sample_arrays[2])
 
-    @cached_property
-    def sample_bit(self) -> np.ndarray:
-        return self._sample_indices[1]
 
-    @cached_property
-    def sample_cumulative_uj(self) -> np.ndarray:
-        import numpy as np
+def _steps(w0: float, c2: float, total: float, n_bits: int,
+           charge_per_bit: float) -> Iterator[float]:
+    """The withdrawal total after each of ``n_bits`` bits drawn from
+    ``total``, one ``drain_bits`` statement per bit."""
+    for _ in range(n_bits):
+        total += charge_per_bit * math.sqrt(w0 - c2 * total)
+        yield total
 
-        # The product is a fresh array, so it does not alias the buffer.
-        return np.frombuffer(self._cumulative_joules) * 1e6
+
+def _runs(layout: FrameLayout, msdu_octets: int, data_rate: float,
+          supply_current_ma: float) -> tuple[tuple[int, float], ...]:
+    """The (bits, charge per bit) of a frame's two constant-charge runs:
+    the preamble at its own rate, then MHR, MSDU and FCS at ``data_rate``."""
+    current_a = supply_current_ma * 1e-3
+    preamble_bits = layout.preamble_bits
+    return ((preamble_bits, current_a / layout.preamble_rate),
+            (layout.frame_bits(msdu_octets) - preamble_bits,
+             current_a / data_rate))
 
 
 class _Drain:
@@ -183,12 +199,11 @@ class _Drain:
     downstream value.
     """
 
-    __slots__ = ("capacitance", "_w0", "_c2", "total_joules")
+    __slots__ = ("_w0", "_c2", "total_joules")
 
     def __init__(self, voltage: float, capacitance: float):
         finite("voltage", voltage, gt=0)
         finite("capacitance", capacitance, gt=0)
-        self.capacitance = capacitance
         self._w0 = voltage * voltage
         self._c2 = 2.0 / capacitance
         self.total_joules = 0.0
@@ -207,15 +222,12 @@ class _Drain:
                 packet=packet, segment=segment)
 
     def drain_bits(self, n_bits: int, charge_per_bit: float, *,
-                   packet=None, segment=None, out=None) -> float:
+                   packet=None, segment=None) -> float:
         """Draw ``n_bits`` per-bit withdrawals of v * charge_per_bit joules.
 
         ``charge_per_bit`` is supply current (A) / data rate (bit/s).
-        When ``out`` is given (``burst_energy`` passes an
-        ``array.array("d")``; anything with ``append`` works), the running
-        burst total (J) is appended after every bit; after a depletion
-        error its contents are unspecified. Returns the energy (J) drawn
-        by this segment.
+        Returns the energy (J) drawn by this segment; no per-bit total is
+        kept (``BurstReport.sample_rows`` replays them).
 
         Each bit is one statement with no test. Depletion shows either as
         the ValueError ``math.sqrt`` raises on a negative argument or in
@@ -230,19 +242,13 @@ class _Drain:
         b = charge_per_bit
         sqrt = math.sqrt
         try:
-            if out is None:
-                for _ in range(n_bits >> 2):
-                    total += b * sqrt(w0 - c2 * total)
-                    total += b * sqrt(w0 - c2 * total)
-                    total += b * sqrt(w0 - c2 * total)
-                    total += b * sqrt(w0 - c2 * total)
-                for _ in range(n_bits & 3):
-                    total += b * sqrt(w0 - c2 * total)
-            else:
-                append = out.append
-                for _ in range(n_bits):
-                    total += b * sqrt(w0 - c2 * total)
-                    append(total)
+            for _ in range(n_bits >> 2):
+                total += b * sqrt(w0 - c2 * total)
+                total += b * sqrt(w0 - c2 * total)
+                total += b * sqrt(w0 - c2 * total)
+                total += b * sqrt(w0 - c2 * total)
+            for _ in range(n_bits & 3):
+                total += b * sqrt(w0 - c2 * total)
         except ValueError:
             self._raise_depleted(start, n_bits, b, packet, segment)
         if w0 - c2 * total <= 0.0:
@@ -255,17 +261,16 @@ class _Drain:
         """Replay a segment from ``total`` bit by bit; at the first bit
         that leaves a square-root argument <= 0, store that total and
         raise EscDepletedError naming the bit."""
-        w0 = self._w0
-        c2 = self._c2
-        for i in range(n_bits):
-            total += charge_per_bit * math.sqrt(w0 - c2 * total)
+        w0, c2 = self._w0, self._c2
+        for bit, total in enumerate(_steps(w0, c2, total, n_bits,
+                                           charge_per_bit), 1):
             if w0 - c2 * total <= 0.0:
                 self.total_joules = total
                 raise EscDepletedError(
-                    f"energy store depleted at bit {i + 1} of the "
+                    f"energy store depleted at bit {bit} of the "
                     f"{segment or 'segment'}"
                     + (f" in packet {packet}" if packet is not None else ""),
-                    packet=packet, segment=segment, bit=i + 1)
+                    packet=packet, segment=segment, bit=bit)
 
 
 def first_bit_energy(v_start: float, supply_current_ma: float,
@@ -350,23 +355,20 @@ def segment_energy(v_start: float, supply_current_ma: float, data_rate: float,
 
 def _frame_cascade(drain: _Drain, layout: FrameLayout, msdu_octets: int,
                    supply_current_ma: float, data_rate: float, *,
-                   packet=None, out=None) -> tuple[float, ...]:
+                   packet=None) -> tuple[float, ...]:
     """Drain one frame through the four protocol segments in order; the
     withdrawal totals (J) at its start and after each segment."""
-    current_a = supply_current_ma * 1e-3
+    (preamble_bits, preamble_charge), (_, charge) = _runs(
+        layout, msdu_octets, data_rate, supply_current_ma)
     drain_bits = drain.drain_bits
     start = drain.total_joules
-    drain_bits(layout.preamble_bits, current_a / layout.preamble_rate,
-               packet=packet, segment="phy", out=out)
+    drain_bits(preamble_bits, preamble_charge, packet=packet, segment="phy")
     after_phy = drain.total_joules
-    drain_bits(8 * layout.mhr_octets, current_a / data_rate,
-               packet=packet, segment="mhr", out=out)
+    drain_bits(8 * layout.mhr_octets, charge, packet=packet, segment="mhr")
     after_mhr = drain.total_joules
-    drain_bits(8 * msdu_octets, current_a / data_rate,
-               packet=packet, segment="msdu", out=out)
+    drain_bits(8 * msdu_octets, charge, packet=packet, segment="msdu")
     after_msdu = drain.total_joules
-    drain_bits(8 * layout.fcs_octets, current_a / data_rate,
-               packet=packet, segment="fcs", out=out)
+    drain_bits(8 * layout.fcs_octets, charge, packet=packet, segment="fcs")
     return start, after_phy, after_mhr, after_msdu, drain.total_joules
 
 
@@ -432,9 +434,10 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
     only charge gaps to the middle packets.
 
     A BrownoutWarning is emitted (once) if the voltage dips below
-    ``brownout_v``; pass None to disable. ``record_samples=False`` records
-    no per-bit samples, which makes a simulation that only needs the
-    totals cheaper.
+    ``brownout_v``; pass None to disable. ``record_samples=False`` leaves
+    the report without per-bit samples (see ``BurstReport``). It does not
+    make the drain cheaper: the samples are replayed from the report's
+    per-packet rows only when read.
     """
     plans = tuple(plans)
     n = len(plans)
@@ -444,8 +447,6 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
         finite("brownout_v", brownout_v)
     drain = _Drain(initial.voltage, initial.capacitance)
     currents = _supply_currents(plans, profile, layout)
-    cum_joules = array.array("d")
-    out = cum_joules if record_samples else None
     rows = []
 
     wake_uj = wakeup_energy(profile, drain.voltage, plans[0].msdu_octets)
@@ -453,7 +454,7 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
 
     for j, (plan, current_ma) in enumerate(zip(plans, currents), 1):
         totals = _frame_cascade(drain, layout, plan.msdu_octets, current_ma,
-                                plan.data_rate, packet=j, out=out)
+                                plan.data_rate, packet=j)
         gap_uj = 0.0
         sleep_uj = 0.0
         if j < n:
@@ -475,10 +476,8 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
     return BurstReport(
         total_energy_uj=drain.total_joules * 1e6,
         final_state=EscState(initial.capacitance, drain.voltage),
-        _cumulative_joules=cum_joules,
-        _frame_bits=(tuple(layout.frame_bits(plan.msdu_octets)
-                           for plan in plans) if record_samples else ()),
-        _rows=tuple(rows), _w0=drain._w0, _c2=drain._c2, _wake_uj=wake_uj)
+        _rows=tuple(rows), _w0=drain._w0, _c2=drain._c2, _wake_uj=wake_uj,
+        _layout=layout, _samples=record_samples)
 
 
 def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
@@ -505,11 +504,8 @@ def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
     drain = _Drain(initial.voltage, initial.capacitance)
     # MHR, MSDU and FCS share one charge per bit, so one run drains them
     # with the floats of three.
-    current_a = current_ma * 1e-3
-    preamble_bits = layout.preamble_bits
-    preamble_charge = current_a / layout.preamble_rate
-    body_bits = layout.frame_bits(template.msdu_octets) - preamble_bits
-    body_charge = current_a / template.data_rate
+    (preamble_bits, preamble_charge), (body_bits, body_charge) = _runs(
+        layout, template.msdu_octets, template.data_rate, current_ma)
 
     def burst_holds(after_gap: bool) -> bool:
         """Drain the next packet and test the burst ending with it; leaves

@@ -91,27 +91,28 @@ def fit_sigmoid(points: Sequence[CalibrationPoint]) -> SigmoidCoefficients:
     pts = sorted(points, key=lambda p: p.supply_current)
     cs = [p.supply_current for p in pts]
     ps = [p.tx_power for p in pts]
-    steps = list(zip(cs, cs[1:], ps, ps[1:]))
-    for c0, c1, p0, p1 in steps:
+    for c0, c1, p0, p1 in zip(cs, cs[1:], ps, ps[1:]):
         if p1 - p0 < -MONOTONE_TOL_DB:
             raise FitError(
                 "calibration power is not monotone in current beyond the "
                 f"{MONOTONE_TOL_DB} dB noise tolerance ({p0:.3g} dBm at "
                 f"{c0:.3g} mA followed by {p1:.3g} dBm at {c1:.3g} mA)")
-    p_span = max(ps) - min(ps)
+    p_min = min(ps)
+    p_span = max(ps) - p_min
     if p_span == 0.0:
         raise FitError("degenerate calibration: all powers equal")
 
     # Seeds: asymptotes from the data range, midpoint from the half-power
-    # crossing, slope from the steepest local gradient (= alpha2*alpha3/4
-    # at the midpoint of an exact sigmoid).
+    # crossing, slope from the first currents at 25 % and 75 % of the span
+    # (2 ln 3 / alpha3 apart on an exact sigmoid; unit slope if one step
+    # crosses both), a width that dense noisy points do not shrink.
     a1_0 = max(ps) + 0.05 * p_span
     a2_0 = 1.1 * p_span
-    mid = min(ps) + 0.5 * p_span
+    mid = p_min + 0.5 * p_span
     a4_0 = cs[min(range(len(ps)), key=lambda i: abs(ps[i] - mid))]
-    slopes = [(p1 - p0) / (c1 - c0) for c0, c1, p0, p1 in steps if c1 > c0]
-    slope = max(slopes) if slopes else 1.0
-    a3_0 = max(4.0 * slope / a2_0, 1e-3)
+    c25, c75 = (next(c for c, p in zip(cs, ps) if p >= p_min + share * p_span)
+                for share in (0.25, 0.75))
+    a3_0 = 2.0 * math.log(3.0) / (c75 - c25) if c75 > c25 else 1.0
 
     def clipped(raw):
         # min before max, so that a nan exponent stays nan

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rfbudget import (CalibrationPoint, DeviceProfile, FitError,
                       current_from_tx_power, fit_sigmoid, system_power,
                       tx_power_from_current)
+from rfbudget import radiopower
 
 # Synthetic coefficients for closed-form checks (no vendor publishes real
 # ones, so the contract is round-trip based).
@@ -186,3 +187,28 @@ def test_fit_sigmoid_round_trip_property(a1, a2, a3, a4):
     for c in currents:
         assert tx_power_from_current(fitted, float(c)) == pytest.approx(
             tx_power_from_current(truth, float(c)), abs=1e-3)
+
+
+def test_fit_sigmoid_dense_noisy_calibration_converges_fast(monkeypatch):
+    # A dense calibration: neighbouring points are closer than the noise
+    # lets their slope be read, so the slope seed must not come from them.
+    rng = np.random.default_rng(5)
+    a4, a3 = SYNTH.alpha4, SYNTH.alpha3
+    currents = np.sort(rng.uniform(max(0.2, a4 - 6.0 / a3), a4 + 6.0 / a3,
+                                   5000))
+    points = [CalibrationPoint(float(c), tx_power_from_current(SYNTH, float(c))
+                               + float(rng.normal(0.0, 0.05)))
+              for c in currents]
+    evaluations = []
+    solve = radiopower.least_squares
+
+    def counted(residual, *args, **kwargs):
+        def residual_counted(x):
+            evaluations.append(1)
+            return residual(x)
+        return solve(residual_counted, *args, **kwargs)
+
+    monkeypatch.setattr(radiopower, "least_squares", counted)
+    coeffs = fit_sigmoid(points)
+    assert len(evaluations) <= 15
+    assert coeffs.alpha3 == pytest.approx(SYNTH.alpha3, rel=0.02)
