@@ -26,17 +26,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .device import (DeviceProfile, EscState, FrameLayout, PacketPlan,
                      count, finite)
 from .errors import BrownoutWarning, EscDepletedError
 from .packet import interpacket_overhead, sleep_energy, wakeup_energy
 from .radiopower import current_from_tx_power
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_BROWNOUT_V = 1.8
 
@@ -97,15 +93,12 @@ class BurstReport:
     caller that reads only the totals builds none. Equality compares the
     rows, and so never builds a ledger.
 
-    ``sample_packet``/``sample_bit``/``sample_cumulative_uj`` are parallel
-    arrays with one entry per transmitted bit: the 1-based packet index
-    (int32), the 1-based bit position within that packet's frame (int32),
-    and the running energy total (uJ, float64) including every lump
-    overhead withdrawn so far. ``sample_rows`` gives the same values as
-    Python numbers without numpy. The drain records none of them:
+    ``sample_rows()`` yields one (packet, bit, uJ) tuple per transmitted
+    bit: the 1-based packet index, the 1-based bit position within that
+    packet's frame, and the running energy total including every lump
+    overhead withdrawn so far. The drain records none of them:
     ``sample_rows`` replays each frame from its row with the drain's own
-    float operations, and the arrays are built from it, loading numpy,
-    when first read. All are empty when the burst was simulated with
+    float operations. It yields nothing when the burst was simulated with
     ``record_samples=False``.
     ``total_energy_uj`` additionally includes the final sleep ramp.
     """
@@ -155,20 +148,6 @@ class BurstReport:
                 for total in _steps(w0, c2, start, n_bits, charge):
                     bit += 1
                     yield packet, bit, total * 1e6
-
-    @cached_property
-    def _sample_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        import numpy as np
-
-        # Indices are exact in float64; each column is a fresh array.
-        table = np.fromiter(chain.from_iterable(self.sample_rows()),
-                            dtype=np.float64).reshape(-1, 3)
-        return (table[:, 0].astype(np.int32), table[:, 1].astype(np.int32),
-                table[:, 2].copy())
-
-    sample_packet = property(lambda self: self._sample_arrays[0])
-    sample_bit = property(lambda self: self._sample_arrays[1])
-    sample_cumulative_uj = property(lambda self: self._sample_arrays[2])
 
 
 def _steps(w0: float, c2: float, total: float, n_bits: int,
@@ -307,7 +286,7 @@ def bit_energy_closed_form(e_first_uj: float, bit_index: int,
 
 def bit_energy_oracle(v_start: float, supply_current_ma: float,
                       data_rate: float, capacitance: float,
-                      n_bits: int) -> tuple[np.ndarray, float]:
+                      n_bits: int) -> tuple[tuple[float, ...], float]:
     """Exact per-bit energies (uJ) and final voltage, bit by bit.
 
     Runs the reference recursion directly: e_i = v_i * I / r, then
@@ -321,10 +300,8 @@ def bit_energy_oracle(v_start: float, supply_current_ma: float,
     finite("capacitance", capacitance, gt=0)
     finite("data_rate", data_rate, gt=0)
     finite("supply_current_ma", supply_current_ma, ge=0)
-    import numpy as np
-
     charge = supply_current_ma * 1e-3 / data_rate
-    energies = np.empty(n_bits)
+    energies = []
     v = v_start
     for i in range(n_bits):
         e = v * charge
@@ -332,9 +309,9 @@ def bit_energy_oracle(v_start: float, supply_current_ma: float,
         if arg <= 0.0:
             raise EscDepletedError(
                 f"energy store depleted at bit {i + 1} of {n_bits}", bit=i + 1)
-        energies[i] = e * 1e6
+        energies.append(e * 1e6)
         v = math.sqrt(arg)
-    return energies, v
+    return tuple(energies), v
 
 
 def segment_energy(v_start: float, supply_current_ma: float, data_rate: float,
@@ -434,10 +411,10 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
     only charge gaps to the middle packets.
 
     A BrownoutWarning is emitted (once) if the voltage dips below
-    ``brownout_v``; pass None to disable. ``record_samples=False`` leaves
-    the report without per-bit samples (see ``BurstReport``). It does not
-    make the drain cheaper: the samples are replayed from the report's
-    per-packet rows only when read.
+    ``brownout_v``; pass None to disable. ``record_samples=False`` makes
+    the report's ``sample_rows()`` yield nothing (see ``BurstReport``). It
+    does not make the drain cheaper: the samples are replayed from the
+    report's per-packet rows only when read.
     """
     plans = tuple(plans)
     n = len(plans)

@@ -19,8 +19,8 @@ class CyclePlan:
     """One duty cycle: burst of ``n_packets`` followed by a recharge.
 
     ``burst`` is None when not even a single packet fits; otherwise it is
-    the burst's totals and ledger, without per-bit samples (its sample
-    arrays are empty). Its per-packet ledger is built when
+    the burst's totals and ledger, without per-bit samples (its
+    ``sample_rows()`` yields nothing). Its per-packet ledger is built when
     ``burst.packets`` is first read, so a caller that needs only the
     totals builds none. Times in seconds;
     duty_cycle = active_time / (active_time + recharge_time).

@@ -6,6 +6,7 @@ tolerances are pinned here, not configurable.
 
 import functools
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -217,9 +218,9 @@ def test_criterion_08_cumulative_shape():
                                   brownout_v=None)
         except EscDepletedError:
             continue
-        cum = report.sample_cumulative_uj
-        packets = report.sample_packet
-        assert (np.diff(cum) > 0.0).all()  # nondecreasing throughout
+        packets, _, cum = zip(*report.sample_rows())
+        # nondecreasing throughout
+        assert all(b - a > 0.0 for a, b in zip(cum, cum[1:]))
         base = 0
         for j, plan in enumerate(plans, 1):
             frame_bits = LAYOUT.frame_bits(plan.msdu_octets)
@@ -230,11 +231,14 @@ def test_criterion_08_cumulative_shape():
             # a lump (wake-up or inter-packet overhead) lands between
             # frames, so the boundary step dwarfs a plain bit
             assert first_increment > 5.0 * ordinary
-            bounds = np.cumsum((0, 48, 8 * LAYOUT.mhr_octets,
-                                8 * plan.msdu_octets, 8 * LAYOUT.fcs_octets))
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                inc = np.diff(cum[base + lo:base + hi])
-                assert (np.diff(inc) < 0.0).all()  # decaying per-bit cost
+            bounds = list(accumulate((0, 48, 8 * LAYOUT.mhr_octets,
+                                      8 * plan.msdu_octets,
+                                      8 * LAYOUT.fcs_octets)))
+            for lo, hi in zip(bounds, bounds[1:]):
+                segment = cum[base + lo:base + hi]
+                inc = [b - a for a, b in zip(segment, segment[1:])]
+                # decaying per-bit cost
+                assert all(b - a < 0.0 for a, b in zip(inc, inc[1:]))
             base += frame_bits
         checked += 1
     assert checked == 50

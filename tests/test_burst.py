@@ -30,6 +30,10 @@ def common_difference_uj(current_ma, rate, cap):
     return (current_ma * 1e-3 / rate) ** 2 / cap * 1e6
 
 
+def increments(values):
+    return [b - a for a, b in zip(values, values[1:])]
+
+
 # first_bit_energy / closed form ---------------------------------------------
 
 def test_first_bit_energy_reference():
@@ -96,11 +100,10 @@ def test_oracle_matches_closed_form_reference():
     energies, _ = bit_energy_oracle(REF_V0, REF_CURRENT_MA, REF_RATE_BPS,
                                     REF_CAP_F, 1016)
     e1 = first_bit_energy(REF_V0, REF_CURRENT_MA, REF_RATE_BPS)
-    approx = np.array([bit_energy_closed_form(e1, i, REF_CURRENT_MA,
-                                              REF_RATE_BPS, REF_CAP_F)
-                       for i in range(1, 1017)])
-    rel = np.abs(approx - energies) / energies
-    assert rel.max() <= 1e-3
+    approx = [bit_energy_closed_form(e1, i, REF_CURRENT_MA, REF_RATE_BPS,
+                                     REF_CAP_F) for i in range(1, 1017)]
+    assert max(abs(a - e) / e
+               for a, e in zip(approx, energies, strict=True)) <= 1e-3
 
 
 def test_oracle_depletes_on_tiny_store():
@@ -140,7 +143,7 @@ def test_segment_reference_48_bits():
                                    REF_CAP_F)
     oracle, v_oracle = bit_energy_oracle(REF_V0, REF_CURRENT_MA, REF_RATE_BPS,
                                          REF_CAP_F, 48)
-    assert energy == pytest.approx(float(oracle.sum()), rel=1e-9)
+    assert energy == pytest.approx(math.fsum(oracle), rel=1e-9)
     assert v_end == pytest.approx(v_oracle, rel=1e-9)
     # arithmetic-series view: 48 flat bits minus the drain correction
     assert energy == pytest.approx(7.795 - 0.040, abs=2e-3)
@@ -198,15 +201,15 @@ def test_protocol_reference_chain_matches_oracle(layout):
     msdu, v3 = bit_energy_oracle(v2, REF_CURRENT_MA, REF_RATE_BPS, REF_CAP_F, 848)
     fcs, v4 = bit_energy_oracle(v3, REF_CURRENT_MA, REF_RATE_BPS, REF_CAP_F, 16)
     assert frame.e_phy_uj == pytest.approx(7.755, abs=2e-3)
-    assert frame.e_phy_uj == pytest.approx(float(phy.sum()), rel=1e-9)
-    assert frame.e_mhr_uj == pytest.approx(float(mhr.sum()), rel=1e-9)
-    assert frame.e_msdu_uj == pytest.approx(float(msdu.sum()), rel=1e-9)
-    assert frame.e_fcs_uj == pytest.approx(float(fcs.sum()), rel=1e-9)
+    assert frame.e_phy_uj == pytest.approx(math.fsum(phy), rel=1e-9)
+    assert frame.e_mhr_uj == pytest.approx(math.fsum(mhr), rel=1e-9)
+    assert frame.e_msdu_uj == pytest.approx(math.fsum(msdu), rel=1e-9)
+    assert frame.e_fcs_uj == pytest.approx(math.fsum(fcs), rel=1e-9)
     for got, want in ((frame.v_after_phy, v1), (frame.v_after_mhr, v2),
                       (frame.v_after_msdu, v3), (frame.v_after_fcs, v4)):
         assert got == pytest.approx(want, rel=1e-9)
     total = frame.total_energy_uj
-    oracle_total = float(phy.sum() + mhr.sum() + msdu.sum() + fcs.sum())
+    oracle_total = math.fsum(phy + mhr + msdu + fcs)
     assert total == pytest.approx(oracle_total, rel=1e-3)
     assert frame.protocol_energy_uj == pytest.approx(
         frame.e_phy_uj + frame.e_mhr_uj + frame.e_fcs_uj, rel=1e-12)
@@ -271,7 +274,7 @@ def test_burst_two_packets_matches_manual_replay(sig_profile, layout):
         for bits, rate in ((48, layout.preamble_rate), (152, REF_RATE_BPS),
                            (848, REF_RATE_BPS), (16, REF_RATE_BPS)):
             energies, v = bit_energy_oracle(v, current, rate, REF_CAP_F, bits)
-            total += float(energies.sum())
+            total += math.fsum(energies)
         if j == 1:
             lump = interpacket_overhead(sig_profile, v, current)
         else:
@@ -304,17 +307,16 @@ def test_burst_cumulative_shape(sig_profile, layout):
     initial = EscState(capacitance=1e-3, voltage=3.0)
     plans = [ref_plan(40), ref_plan(40), ref_plan(40)]
     report = burst_energy(plans, initial, sig_profile, layout, brownout_v=None)
-    cum = report.sample_cumulative_uj
-    packets = report.sample_packet
-    bits = report.sample_bit
+    packets, bits, cum = zip(*report.sample_rows())
     frame_bits = layout.frame_bits(40)
     assert len(cum) == 3 * frame_bits
-    assert (np.diff(cum) > 0).all()  # nondecreasing overall, strictly here
+    # nondecreasing overall, strictly here
+    assert all(inc > 0 for inc in increments(cum))
     # first sample already contains the wake-up lump
     assert cum[0] > wakeup_energy(sig_profile, 3.0, 40)
     # boundary jumps exceed neighbouring per-bit increments: a lump landed
     for j in (2, 3):
-        boundary = np.nonzero(packets == j)[0][0]
+        boundary = packets.index(j)
         jump = cum[boundary] - cum[boundary - 1]
         per_bit = cum[boundary + 1] - cum[boundary]
         assert jump > 10 * per_bit
@@ -322,11 +324,11 @@ def test_burst_cumulative_shape(sig_profile, layout):
     segment_starts = (0, 48, 48 + 152, 48 + 152 + 320)
     segment_ends = (48, 48 + 152, 48 + 152 + 320, frame_bits)
     for j in (1, 2, 3):
-        base = np.nonzero(packets == j)[0][0]
+        base = packets.index(j)
         assert bits[base] == 1
         for lo, hi in zip(segment_starts, segment_ends):
-            inc = np.diff(cum[base + lo:base + hi])
-            assert (np.diff(inc) < 0).all()
+            inc = increments(cum[base + lo:base + hi])
+            assert all(b < a for a, b in zip(inc, inc[1:]))
 
 
 def test_burst_gap_accounting_default_vs_reduced(sig_profile, layout):
@@ -410,47 +412,32 @@ def test_burst_sample_recording_can_be_skipped(sig_profile, layout):
                         brownout_v=None)
     slim = burst_energy([ref_plan(30)] * 2, initial, sig_profile, layout,
                         brownout_v=None, record_samples=False)
-    assert slim.sample_cumulative_uj.size == 0
+    assert list(slim.sample_rows()) == []
     assert slim.total_energy_uj == full.total_energy_uj
     assert slim.final_state.voltage == full.final_state.voltage
 
 
 def reference_samples(plans, initial, profile, layout, include_final_gap):
-    """The three sample arrays built one Python object per bit while the
-    burst drains: a CheckedDrain appends each running total to a list as
-    it drains the four segments of every frame, and the index lists grow
-    packet by packet."""
+    """The (packet, bit, uJ) rows recorded while the burst drains: a
+    CheckedDrain appends each running total to a list as it drains the
+    four segments of every frame."""
     drain = CheckedDrain(initial.voltage, initial.capacitance)
     drain.withdraw(wakeup_energy(profile, drain.voltage,
                                  plans[0].msdu_octets) * 1e-6)
-    cum, sample_packet, sample_bit = [], [], []
+    rows = []
     for j, plan in enumerate(plans, 1):
         current_ma = current_from_tx_power(profile, plan.tx_power)
+        cum = []
         for bits, rate in ((layout.preamble_bits, layout.preamble_rate),
                            (8 * layout.mhr_octets, plan.data_rate),
                            (8 * plan.msdu_octets, plan.data_rate),
                            (8 * layout.fcs_octets, plan.data_rate)):
             drain.drain_bits(bits, current_ma * 1e-3 / rate, out=cum)
-        frame_bits = layout.frame_bits(plan.msdu_octets)
-        sample_packet.extend([j] * frame_bits)
-        sample_bit.extend(range(1, frame_bits + 1))
+        rows += [(j, bit, total * 1e6) for bit, total in enumerate(cum, 1)]
         if j < len(plans) and (include_final_gap or j < len(plans) - 1):
             drain.withdraw(interpacket_overhead(profile, drain.voltage,
                                                 current_ma) * 1e-6)
-    return (np.asarray(sample_packet, dtype=np.int32),
-            np.asarray(sample_bit, dtype=np.int32),
-            np.asarray(cum) * 1e6)
-
-
-def sample_arrays(report):
-    return (report.sample_packet, report.sample_bit,
-            report.sample_cumulative_uj)
-
-
-def assert_same_arrays(got, expected):
-    for a, b in zip(got, expected, strict=True):
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
+    return rows
 
 
 mixed_plans = st.lists(
@@ -476,9 +463,11 @@ def test_burst_samples_equal_per_bit_reference(plans, capacitance, v0,
     report = burst_energy(plans, initial, sig_profile, layout,
                           include_final_gap=include_final_gap,
                           brownout_v=None)
-    assert_same_arrays(sample_arrays(report),
-                       reference_samples(plans, initial, sig_profile, layout,
-                                         include_final_gap))
+    rows = list(report.sample_rows())
+    assert rows == reference_samples(plans, initial, sig_profile, layout,
+                                     include_final_gap)
+    assert all(type(packet) is int and type(bit) is int
+               and type(value) is float for packet, bit, value in rows)
     # Every withdrawal is >= 0, so the voltage never rises along the burst.
     chain = [v0]
     for p in report.packets:
@@ -489,9 +478,7 @@ def test_burst_samples_equal_per_bit_reference(plans, capacitance, v0,
     slim = burst_energy(plans, initial, sig_profile, layout,
                         include_final_gap=include_final_gap,
                         brownout_v=None, record_samples=False)
-    assert_same_arrays(sample_arrays(slim),
-                       (np.empty(0, np.int32), np.empty(0, np.int32),
-                        np.empty(0, np.float64)))
+    assert list(slim.sample_rows()) == []
 
 
 class CheckedDrain(_Drain):
@@ -572,20 +559,6 @@ def test_drain_equals_the_checked_reference(plans, capacitance, v0,
         assert got_total == expected_total
 
 
-def test_sample_rows_equal_the_sample_arrays(sig_profile, layout):
-    plans = [ref_plan(30), ref_plan(0), ref_plan(106)]
-    report = burst_energy(plans, EscState(2e-3, 3.2), sig_profile, layout,
-                          brownout_v=None)
-    rows = list(report.sample_rows())
-    assert rows == list(zip(report.sample_packet.tolist(),
-                            report.sample_bit.tolist(),
-                            report.sample_cumulative_uj.tolist()))
-    assert all(type(value) is float for _, _, value in rows)
-    slim = burst_energy(plans, EscState(2e-3, 3.2), sig_profile, layout,
-                        brownout_v=None, record_samples=False)
-    assert list(slim.sample_rows()) == []
-
-
 def test_cycle_report_burst_equals_a_direct_burst(sig_profile, layout):
     initial = EscState(capacitance=2e-3, voltage=3.0)
     model = ChargeModel(v_oc=3.6, r_eq=800.0, capacitance=2e-3)
@@ -599,9 +572,7 @@ def test_cycle_report_burst_equals_a_direct_burst(sig_profile, layout):
     assert plan.burst.total_energy_uj == direct.total_energy_uj
     assert plan.burst.final_state == direct.final_state
     # The planned burst records no per-bit samples.
-    slim = burst_energy(plans, initial, sig_profile, layout, brownout_v=None,
-                        record_samples=False)
-    assert_same_arrays(sample_arrays(plan.burst), sample_arrays(slim))
+    assert list(plan.burst.sample_rows()) == []
 
 
 def test_reports_and_plans_hash(sig_profile, layout):

@@ -1,6 +1,6 @@
-"""No subcommand loads numpy or scipy. numpy is loaded only when a
-library caller reads a ``BurstReport`` sample array or calls
-``bit_energy_oracle``, the two places that return ndarrays.
+"""Nothing in the package loads numpy or scipy: no subcommand, and no
+library call either, reading the per-bit samples and the ledger and
+calling ``bit_energy_oracle`` included.
 
 Each check runs in a fresh interpreter, because this test session has
 long since imported numpy and scipy through the other tests.
@@ -93,35 +93,25 @@ print(json.dumps({"statuses": statuses,
                                   if m.split(".")[0] == "scipy")}))
 """
 
-ARRAYS = """
+SAMPLES_AND_ORACLE = """
 import json, sys
 import rfbudget.cli
 from rfbudget import (DeviceProfile, EscState, FrameLayout, PacketPlan,
-                      burst_energy)
+                      bit_energy_oracle, burst_energy)
 
-loaded = {"cli": sorted(m for m in ("numpy", "statistics", "fractions",
-                                    "decimal") if m in sys.modules)}
+cli = sorted(m for m in ("statistics", "fractions", "decimal")
+             if m in sys.modules)
 profile = DeviceProfile(alpha1=%r, alpha2=%r, alpha3=%r, alpha4=%r)
 report = burst_energy([PacketPlan(10, 0.0, 250000.0)] * 2,
                       EscState(0.00012, 2.5), profile, FrameLayout())
 rows = list(report.sample_rows())
-loaded["burst"] = "numpy" in sys.modules
-arrays = (report.sample_packet, report.sample_bit, report.sample_cumulative_uj)
-loaded["read"] = "numpy" in sys.modules
-print(json.dumps({"loaded": loaded, "rows": len(rows),
-                  "sizes": [a.size for a in arrays],
-                  "dtypes": [str(a.dtype) for a in arrays]}))
+packets = report.packets
+energies, _ = bit_energy_oracle(2.5, 10.0, 250000.0, 0.00012, n_bits=4)
+print(json.dumps({"cli": cli, "rows": len(rows), "packets": len(packets),
+                  "oracle": [type(energies).__name__,
+                             *(type(e).__name__ for e in energies)],
+                  "numpy": "numpy" in sys.modules}))
 """ % (ALPHA1, ALPHA2, ALPHA3, ALPHA4)
-
-ORACLE = """
-import json, sys
-from rfbudget import bit_energy_oracle
-
-before = "numpy" in sys.modules
-energies, _ = bit_energy_oracle(2.5, 10.0, 250000.0, 0.00012, 4)
-print(json.dumps({"before": before, "after": "numpy" in sys.modules,
-                  "size": energies.size}))
-"""
 
 
 def run_fresh(code, tmp_path):
@@ -154,13 +144,10 @@ def test_fit_subcommands_load_no_scipy(tmp_path):
     assert result["scipy"] == []
 
 
-def test_only_reading_a_sample_array_loads_numpy(tmp_path):
-    result = run_fresh(ARRAYS, tmp_path)
-    assert result["loaded"] == {"cli": [], "burst": False, "read": True}
-    assert result["sizes"] == [result["rows"]] * 3
-    assert result["dtypes"] == ["int32", "int32", "float64"]
-
-
-def test_the_oracle_loads_numpy(tmp_path):
-    result = run_fresh(ORACLE, tmp_path)
-    assert result == {"before": False, "after": True, "size": 4}
+def test_samples_ledger_and_oracle_load_no_numpy(tmp_path):
+    result = run_fresh(SAMPLES_AND_ORACLE, tmp_path)
+    assert result["cli"] == []
+    assert result["rows"] == 2 * FrameLayout().frame_bits(10)
+    assert result["packets"] == 2
+    assert result["oracle"] == ["tuple"] + ["float"] * 4
+    assert result["numpy"] is False
