@@ -457,6 +457,40 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
         _layout=layout, _samples=record_samples)
 
 
+def _walk_bound(profile: DeviceProfile, w0: float, msdu_octets: int,
+                current_ma: float, runs: tuple[tuple[int, float], ...],
+                cap_n: int) -> float:
+    """An upper bound on every withdrawal total the ``max_packets`` walk
+    reaches over ``cap_n`` packets on a drain with squared initial voltage
+    ``w0``; inf when the walk makes more than 2^53 / 100 withdrawals, where
+    the rounding allowance below is not proven.
+
+    Each withdrawal is at most its value at v_top = sqrt(w0), the drain's
+    voltage at total 0: every float step from a total to a voltage, to a
+    bit's ``charge * v`` and to a lump (its constants are >= 0) is
+    monotone. So each total is at most the float sum of those upper terms,
+    and a float sum of m >= 0 terms is at most their exact sum times
+    (1 + u)^m <= 1 + m*u / (1 - m*u), u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 3). The factor
+    1 + (m + 64) * 2^-50 covers that and the rounding of this sum itself;
+    the last term covers products that underflow.
+    """
+    (preamble_bits, preamble_charge), (body_bits, body_charge) = runs
+    # The wake-up, every bit, a gap before each packet but the first and
+    # one sleep ramp: m additions, checked before anything becomes a float.
+    m = cap_n * (preamble_bits + body_bits + 1) + 1
+    if 100 * m > 2 ** 53:
+        return math.inf
+    v_top = math.sqrt(w0)
+    total = (wakeup_energy(profile, v_top, msdu_octets) * 1e-6
+             + cap_n * (preamble_bits * (preamble_charge * v_top)
+                        + body_bits * (body_charge * v_top))
+             + (cap_n - 1) * (interpacket_overhead(profile, v_top, current_ma)
+                              * 1e-6)
+             + sleep_energy(profile, v_top, current_ma) * 1e-6)
+    return total * (1.0 + (m + 64) * 2.0 ** -50) + 64 * math.ulp(0.0)
+
+
 def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
                 profile: DeviceProfile, layout: FrameLayout, cap_n: int, *,
                 include_final_gap: bool = True) -> int:
@@ -473,6 +507,18 @@ def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
     so it holds wherever the gapped burst holds. Only the first failing
     packet is drained once more, from the pre-gap state, to test it as
     the gapless last packet.
+
+    Before walking, it tries to prove that all ``cap_n`` packets fit, and
+    then drains nothing. ``_walk_bound`` bounds every total the walk could
+    reach, from the withdrawals evaluated at the initial voltage. The
+    depletion and cutoff tests are monotone in the total, so when the
+    bound itself leaves the square-root argument > 0 and the voltage at or
+    above ``v_cutoff``, every test of the walk passes: it would return
+    ``cap_n`` in both gap modes. The bound charges every bit at the
+    initial voltage, so it overstates the burst's energy by about the
+    burst's relative voltage drop: the proof applies when the capped burst
+    ends above the cutoff by a margin of that order. When it does not
+    hold, the walk runs.
     """
     count("cap_n", cap_n, ge=1)
     if initial.voltage <= finite("v_cutoff", v_cutoff, ge=0):
@@ -481,8 +527,13 @@ def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
     drain = _Drain(initial.voltage, initial.capacitance)
     # MHR, MSDU and FCS share one charge per bit, so one run drains them
     # with the floats of three.
-    (preamble_bits, preamble_charge), (body_bits, body_charge) = _runs(
-        layout, template.msdu_octets, template.data_rate, current_ma)
+    runs = _runs(layout, template.msdu_octets, template.data_rate, current_ma)
+    bound = _walk_bound(profile, drain._w0, template.msdu_octets, current_ma,
+                        runs, cap_n)
+    arg = drain._w0 - drain._c2 * bound
+    if arg > 0.0 and math.sqrt(arg) >= v_cutoff:
+        return cap_n
+    (preamble_bits, preamble_charge), (body_bits, body_charge) = runs
 
     def burst_holds(after_gap: bool) -> bool:
         """Drain the next packet and test the burst ending with it; leaves

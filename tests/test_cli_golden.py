@@ -56,6 +56,9 @@ CASES = {
     "plan-cycle": PLAN_CYCLE,
     "plan-cycle-csv": [*PLAN_CYCLE, "--no-final-gap-overhead",
                        "--format", "csv"],
+    # One packet fits with room to spare: the planner proves the cap
+    # without walking, and the report must not change.
+    "plan-cycle-cap-limited": [*PLAN_CYCLE[:-2], "--cap-n", "1"],
 }
 
 GOLDEN = {
@@ -215,6 +218,23 @@ GOLDEN = {
         "stderr": ('warning: supply voltage reached 1.786 V, below the 1.80 '
                    'V brown-out level; the device constants are unvalidated '
                    'down there\n'),
+        "files": {},
+    },
+    "plan-cycle-cap-limited": {
+        "status": 0,
+        "stdout": ('{\n'
+                   '  "active_time_s": 0.004149,\n'
+                   '  "capacitance_f": 0.00012,\n'
+                   '  "cutoff_v": 1.5,\n'
+                   '  "cycle_time_s": 0.0631101,\n'
+                   '  "duty_cycle": 0.0657423,\n'
+                   '  "e_total_uj": 116.43,\n'
+                   '  "n_packets": 1,\n'
+                   '  "recharge_time_s": 0.0589611,\n'
+                   '  "v_final_v": 2.07593,\n'
+                   '  "v_init_v": 2.5\n'
+                   '}\n'),
+        "stderr": "",
         "files": {},
     },
 }

@@ -1,8 +1,9 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import rfbudget.burst
@@ -11,6 +12,7 @@ from rfbudget import (ChargeModel, DeviceProfile, EscDepletedError, EscState,
                       FrameLayout, PacketPlan, UnreachableVoltageError,
                       burst_energy, cycle_report, max_packets, packet_airtime,
                       recharge_plan, time_to_voltage, wakeup_time)
+from rfbudget.radiopower import current_from_tx_power
 from conftest import (ALPHA1, ALPHA2, ALPHA3, ALPHA4, REF_CAP_F, REF_RATE_BPS,
                       REF_TX_DBM, REF_V0)
 
@@ -45,9 +47,36 @@ def test_max_packets_zero_when_below_cutoff(sig_profile, layout):
     assert max_packets(initial, 2.5, template(), sig_profile, layout, 10) == 0
 
 
+@contextlib.contextmanager
+def drained_bits():
+    """The bit counts of every ``_Drain.drain_bits`` call in the block."""
+    bits = []
+    drain_bits = rfbudget.burst._Drain.drain_bits
+
+    def counted(self, n_bits, *args, **kwargs):
+        bits.append(n_bits)
+        return drain_bits(self, n_bits, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rfbudget.burst._Drain, "drain_bits", counted)
+        yield bits
+
+
 def test_max_packets_unconstrained_with_huge_store(sig_profile, layout):
     initial = EscState(capacitance=1.0, voltage=2.5)
-    assert max_packets(initial, 0.0, template(), sig_profile, layout, 7) == 7
+    with drained_bits() as bits:
+        assert max_packets(initial, 0.0, template(), sig_profile, layout,
+                           7) == 7
+    # The bound proves all 7 packets fit: nothing is walked.
+    assert bits == []
+
+
+def test_max_packets_with_a_huge_cap_walks(layout):
+    # The bound's length guard is integer arithmetic: a cap_n near the
+    # float range skips the proof and walks, as without it.
+    profile = DeviceProfile(alpha1=4.0, alpha2=40.0, alpha3=0.5, alpha4=7.5)
+    assert max_packets(EscState(1e-3, 2.5), 1.8, PacketPlan(20, 0.0, 250000.0),
+                       profile, layout, 10**308) == 24
 
 
 def test_max_packets_reference_scenario(sig_profile, layout):
@@ -156,6 +185,135 @@ def test_max_packets_equals_linear_scan_at_a_burst_boundary(
                           include_final_gap=final_gap)
         assert got == linear_scan_max_packets(initial, cutoff, plan, profile,
                                               layout, 12, final_gap)
+
+
+def walk_bound(initial, plan, profile, layout, cap_n):
+    """``max_packets``' bound on the totals of its walk over ``cap_n``
+    packets."""
+    current_ma = current_from_tx_power(profile, plan.tx_power)
+    return rfbudget.burst._walk_bound(
+        profile, initial.voltage * initial.voltage, plan.msdu_octets,
+        current_ma, rfbudget.burst._runs(layout, plan.msdu_octets,
+                                         plan.data_rate, current_ma), cap_n)
+
+
+def proof_cutoff(initial, bound):
+    """The highest cutoff at which ``bound`` proves that the capped burst
+    fits; 0.0 when it proves nothing, since the bound depletes the store."""
+    arg = (initial.voltage * initial.voltage
+           - 2.0 / initial.capacitance * bound)
+    return math.sqrt(arg) if arg > 0.0 else 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(kind=st.sampled_from(sorted(GAP_PROFILES)),
+       cap_exp=st.floats(min_value=-4.0, max_value=0.0),
+       v0=st.floats(min_value=1.0, max_value=3.6),
+       msdu=st.integers(min_value=0, max_value=106),
+       rate=st.sampled_from([250e3, 1e6, 2e6]),
+       cap_n=st.integers(min_value=1, max_value=40),
+       anchor=st.sampled_from(["burst", "proof"]),
+       ulps=st.sampled_from([-1, 0, 1]))
+def test_max_packets_equals_linear_scan_at_the_cap(kind, cap_exp, v0, msdu,
+                                                   rate, cap_n, anchor, ulps):
+    # The cutoff sits on the final voltage of the cap_n-packet burst, where
+    # the walk decides, or on the highest cutoff the bound proves, or one
+    # ulp either side of either.
+    profile = DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
+                            alpha4=ALPHA4, **GAP_PROFILES[kind])
+    layout = FrameLayout()
+    initial = EscState(capacitance=10.0 ** cap_exp, voltage=v0)
+    plan = template(msdu=msdu, rate=rate)
+    for final_gap in (True, False):
+        if anchor == "proof":
+            cutoff = proof_cutoff(initial, walk_bound(initial, plan, profile,
+                                                      layout, cap_n))
+        else:
+            try:
+                cutoff = burst_energy(
+                    [plan] * cap_n, initial, profile, layout,
+                    include_final_gap=final_gap, brownout_v=None,
+                    record_samples=False).final_state.voltage
+            except EscDepletedError:
+                cutoff = 0.0
+        if ulps:
+            cutoff = max(0.0, math.nextafter(cutoff, ulps * math.inf))
+        with drained_bits() as bits:
+            got = max_packets(initial, cutoff, plan, profile, layout, cap_n,
+                              include_final_gap=final_gap)
+        event("walked" if bits else "proved, nothing drained")
+        assert got == linear_scan_max_packets(initial, cutoff, plan, profile,
+                                              layout, cap_n, final_gap)
+
+
+def walk_totals(initial, cutoff, plan, profile, layout, cap_n, final_gap):
+    """The answer of the ``max_packets`` walk with the proof switched off,
+    and every withdrawal total the walk reached, bit by bit."""
+    totals = []
+
+    class Recording(rfbudget.burst._Drain):
+        __slots__ = ()
+
+        def withdraw(self, energy_joules, **kwargs):
+            super().withdraw(energy_joules, **kwargs)
+            totals.append(self.total_joules)
+
+        def drain_bits(self, n_bits, charge_per_bit, **kwargs):
+            start = self.total_joules
+            energy = super().drain_bits(n_bits, charge_per_bit, **kwargs)
+            totals.extend(rfbudget.burst._steps(self._w0, self._c2, start,
+                                                n_bits, charge_per_bit))
+            return energy
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rfbudget.burst, "_Drain", Recording)
+        patch.setattr(rfbudget.burst, "_walk_bound", lambda *args: math.inf)
+        n = max_packets(initial, cutoff, plan, profile, layout, cap_n,
+                        include_final_gap=final_gap)
+    return n, totals
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(GAP_PROFILES)),
+       cap_exp=st.floats(min_value=-6.0, max_value=16.0),
+       v0=st.floats(min_value=0.5, max_value=3.6),
+       cutoff_frac=st.floats(min_value=0.0, max_value=1.0),
+       msdu=st.integers(min_value=0, max_value=106),
+       rate=st.sampled_from([250e3, 1e6, 2e6]),
+       tx=st.floats(min_value=-10.0, max_value=3.5),
+       cap_n=st.integers(min_value=1, max_value=40),
+       final_gap=st.booleans())
+# A store so large that the bound leaves the squared voltage as it was:
+# the limit, and so the cutoff, is the initial voltage.
+@example(kind="measured", cap_exp=16.0, v0=2.5, cutoff_frac=1.0, msdu=20,
+         rate=250e3, tx=0.0, cap_n=3, final_gap=True)
+def test_walk_bound_covers_every_total_the_walk_reaches(
+        kind, cap_exp, v0, cutoff_frac, msdu, rate, tx, cap_n, final_gap):
+    # Small stores that one packet nearly empties, a gap below an ulp of the
+    # total, and stores so large that the voltage never moves, where every
+    # bit costs its bound and only the rounding allowance separates the
+    # walk's total from the bound: wherever the proof holds, the walk
+    # returns cap_n and never reaches a total above the bound.
+    profile = DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
+                            alpha4=ALPHA4, **GAP_PROFILES[kind])
+    layout = FrameLayout()
+    initial = EscState(capacitance=10.0 ** cap_exp, voltage=v0)
+    plan = template(msdu=msdu, rate=rate, tx=tx)
+    bound = walk_bound(initial, plan, profile, layout, cap_n)
+    limit = proof_cutoff(initial, bound)
+    cutoff = cutoff_frac * limit
+    n, totals = walk_totals(initial, cutoff, plan, profile, layout, cap_n,
+                            final_gap)
+    # The cutoff is at most the limit, so the proof holds unless the bound
+    # depletes the store, or the store starts at or below the cutoff and
+    # max_packets answers 0 before it tries the proof.
+    proved = limit > 0.0 and cutoff < v0
+    event("proof holds" if proved else "proof fails")
+    if proved:
+        assert n == cap_n
+        assert max(totals) <= bound
+    assert max_packets(initial, cutoff, plan, profile, layout, cap_n,
+                       include_final_gap=final_gap) == n
 
 
 @pytest.mark.parametrize("final_gap", [True, False])
