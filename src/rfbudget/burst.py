@@ -26,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .device import (DeviceProfile, EscState, FrameLayout, PacketPlan,
                      count, finite)
@@ -491,6 +491,151 @@ def _walk_bound(profile: DeviceProfile, w0: float, msdu_octets: int,
     return total * (1.0 + (m + 64) * 2.0 ** -50) + 64 * math.ulp(0.0)
 
 
+# Outward rounding, u = 2^-53: a positive float within a factor (1 +- u)^2
+# of an exact value (two correctly rounded operations, or the square root
+# of two), times _DOWN (_UP) and rounded, is a lower (upper) bound on it;
+# one within (1 +- u)^8, times _DOWN8 (_UP8).
+_DOWN, _UP = 1.0 - 2.0 ** -51, 1.0 + 2.0 ** -51
+_DOWN8, _UP8 = 1.0 - 2.0 ** -49, 1.0 + 2.0 ** -49
+
+
+def _burst_brackets(profile: DeviceProfile, w0: float, c2: float,
+                    msdu_octets: int, current_ma: float,
+                    runs: tuple[tuple[int, float], ...]
+                    ) -> Iterator[tuple[tuple[float, float], Callable[
+                        [], tuple[float, float] | None]]]:
+    """Two-sided brackets on the voltages the ``max_packets`` walk tests.
+
+    For k = 1, 2, ... yields (lo, hi) around the walk's float voltage after
+    the sleep ramp of the burst ending at packet k, and a function giving
+    the same for that burst without the gap before packet k (k > 1), or
+    None where its hypotheses fail. It stops at the first k whose
+    hypotheses below fail.
+
+    The walk's steps are those of a real recursion on the voltage: each
+    withdrawal maps v to sqrt(v^2 - a*v), a >= 0, with a = c2*b for a bit of
+    charge b and a = c2*k for a lump of k*v joules (``wakeup_energy``,
+    ``interpacket_overhead`` and ``sleep_energy`` are linear in v). With
+    x = a/v, the series of sqrt(1 - x), whose coefficients beyond x^2 are
+    all negative and at most 1/8 in size, gives
+        v - a/2 - a^2/(8v) >= sqrt(v^2 - a*v) >= v - a/2 - a^2/(8(v - a)),
+    the first for x <= 1, the second for x < 1. Each step is also at most
+    a when v >= a, and increasing in v. So a run of n bits from [lo, hi]
+    ends in
+        [lo - n(a/2 + a^2/(8 L)),  hi - n(a/2 + a^2/(8 hi))],  L = lo - n*a,
+    required L >= lo/2 (x <= 1/2 on every bit); a lump is one exact
+    step, required a <= lo/2. One packet is three O(1) steps (gap,
+    preamble, body) where the walk drains hundreds of bits. Every float
+    operation here is rounded outward (``_DOWN``/``_UP``).
+
+    The walk's float totals t^ stay near the real totals T of that
+    recursion. Per withdrawal, the float step is the real step at t^ plus
+    an error of at most u*t^ (the sum) + u*inc*(16 + w0/v^2) (the square
+    root's argument, which cancels to v^2 from w0, the root, the charge or
+    the lump's few products), u = 2^-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 3). The real step's slope in t,
+    1 - a/(2v), lies in [0, 1] while x <= 2, so the errors add and do not
+    grow. Over the m withdrawals of a test, with t^ < w0/c2 and
+    v^2 >= lo^2/2 on its path, c2*|t^ - T| <= P = 2u*w0*(m + 16 + 2w0/lo^2)
+    and the float voltage differs from the real one by at most P/lo plus
+    its own roots' rounding. q = 4P is then an allowance whose q/lo covers
+    both, widening the bracket; q <= lo^2 keeps P <= lo^2/4, the store
+    far from empty, which the induction needs. The integer guard
+    100*m <= 2^53 keeps m*u tiny.
+    """
+    sqrt = math.sqrt
+    # Per run: n*a, n*a/2 and n*a^2/8 bounded from above, then n*a/2 and
+    # n*a^2/8 from below.
+    bounds = []
+    for n_bits, charge in runs:
+        a = c2 * charge
+        na = n_bits * a
+        bounds.append((na * _UP8, na * 0.5 * _UP8, na * a * 0.125 * _UP8,
+                       na * 0.5 * _DOWN8, na * a * 0.125 * _DOWN8))
+    # Per lump: a bounded from above and from below.
+    wake, gap, sleep = ((c2 * joules * 1e-6 * _UP, c2 * joules * 1e-6 * _DOWN)
+                        for joules in (
+                            wakeup_energy(profile, 1.0, msdu_octets),
+                            interpacket_overhead(profile, 1.0, current_ma),
+                            sleep_energy(profile, 1.0, current_ma)))
+
+    def lump(lo, hi, a):
+        a_hi, a_lo = a
+        if not a_hi <= 0.5 * lo:
+            return None
+        return sqrt(lo * (lo - a_hi)) * _DOWN, sqrt(hi * (hi - a_lo)) * _UP
+
+    def frame(lo, hi):
+        for na_hi, half_hi, sq_hi, half_lo, sq_lo in bounds:
+            low_end = (lo - na_hi) * _DOWN
+            if not 0.0 < 0.5 * lo <= low_end:
+                return None
+            lo = (lo - (half_hi + sq_hi / low_end) * _UP) * _DOWN
+            hi = (hi - (half_lo + sq_lo / hi) * _DOWN) * _UP
+        return lo, hi
+
+    def tested(bracket, m):
+        """The bracket after the sleep ramp, widened by the allowance."""
+        bracket = bracket and lump(*bracket, sleep)
+        if bracket is None:
+            return None
+        lo, hi = bracket
+        lo2 = lo * lo
+        if not lo2 > 0.0:
+            return None
+        q = 2.0 ** -50 * w0 * (m + 16.0 + 2.0 * w0 / lo2)
+        if not q <= lo2:
+            return None
+        return lo - q / lo, hi + q / lo
+
+    v_top = sqrt(w0)
+    state = lump(v_top * _DOWN, v_top * _UP, wake)
+    # Burst k withdraws the wake-up, k frames, k - 1 gaps and the sleep
+    # ramp: m withdrawals.
+    per_packet = sum(n_bits for n_bits, _ in runs) + 1
+    m = per_packet + 1
+    after_gap = state
+    while after_gap is not None and 100 * m <= 2 ** 53:
+        post_frame = frame(*after_gap)
+        post_sleep = tested(post_frame, m)
+        if post_sleep is None:
+            return
+        yield post_sleep, (lambda pre_gap=state, m=m:
+                           tested(frame(*pre_gap), m))
+        state = post_frame
+        after_gap = lump(*state, gap)
+        m += per_packet
+
+
+def _settle(brackets, v_cutoff: float, cap_n: int,
+            include_final_gap: bool) -> int | None:
+    """The answer of the ``max_packets`` walk from ``_burst_brackets``,
+    or None when a test it needs falls inside its bracket.
+
+    A burst holds when its bracket's lower end is >= ``v_cutoff`` and fails
+    (by the cutoff or by depletion) when the upper end is below it. Like
+    the walk, it stops at the first burst that fails; without the final
+    gap it then settles that packet as the gapless last one.
+    """
+    for n, ((lo, hi), skipped) in enumerate(brackets):
+        if lo >= v_cutoff:
+            if n + 1 == cap_n:
+                return cap_n
+            continue
+        if not hi < v_cutoff:
+            return None
+        if n == 0 or include_final_gap:
+            return n
+        skipped = skipped()
+        if skipped is None:
+            return None
+        lo, hi = skipped
+        if lo >= v_cutoff:
+            return n + 1
+        return n if hi < v_cutoff else None
+    return None
+
+
 def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
                 profile: DeviceProfile, layout: FrameLayout, cap_n: int, *,
                 include_final_gap: bool = True) -> int:
@@ -508,17 +653,30 @@ def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
     packet is drained once more, from the pre-gap state, to test it as
     the gapless last packet.
 
-    Before walking, it tries to prove that all ``cap_n`` packets fit, and
-    then drains nothing. ``_walk_bound`` bounds every total the walk could
-    reach, from the withdrawals evaluated at the initial voltage. The
-    depletion and cutoff tests are monotone in the total, so when the
-    bound itself leaves the square-root argument > 0 and the voltage at or
-    above ``v_cutoff``, every test of the walk passes: it would return
-    ``cap_n`` in both gap modes. The bound charges every bit at the
-    initial voltage, so it overstates the burst's energy by about the
-    burst's relative voltage drop: the proof applies when the capped burst
-    ends above the cutoff by a margin of that order. When it does not
-    hold, the walk runs.
+    The walk is the last of three steps; the first two drain nothing and
+    return the walk's answer whenever they can prove it:
+
+    1. The cap proof. ``_walk_bound`` bounds every total the walk could
+       reach, from the withdrawals evaluated at the initial voltage. The
+       depletion and cutoff tests are monotone in the total, so when the
+       bound itself leaves the square-root argument > 0 and the voltage at
+       or above ``v_cutoff``, every test of the walk passes: it would
+       return ``cap_n`` in both gap modes. The bound charges every bit at
+       the initial voltage, so it applies when the capped burst ends above
+       the cutoff by a margin of about the burst's relative voltage drop.
+    2. The bracket. ``_burst_brackets`` follows the walk packet by packet
+       with a two-sided bound on each voltage it tests: a run of n bits,
+       each mapping v to sqrt(v^2 - a*v), lowers the voltage by between
+       n(a/2 + a^2/(8 v_start)) and n(a/2 + a^2/(8 v_end)), v_end a lower
+       bound on the run's end; each lump is one exact step, and an
+       allowance covers the walk's rounding. ``_settle`` mirrors the
+       walk's tests: a burst holds when its bracket lies at or above
+       ``v_cutoff`` and fails when it lies below. One bracket step per run
+       replaces hundreds of bit steps.
+    3. The walk, from the start, only when a test it needs falls inside
+       its bracket (a near-tie with the cutoff), or the bracket's
+       hypotheses fail: a nearly empty store, or a step that draws more
+       than half the voltage.
     """
     count("cap_n", cap_n, ge=1)
     if initial.voltage <= finite("v_cutoff", v_cutoff, ge=0):
@@ -533,6 +691,12 @@ def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
     arg = drain._w0 - drain._c2 * bound
     if arg > 0.0 and math.sqrt(arg) >= v_cutoff:
         return cap_n
+    settled = _settle(
+        _burst_brackets(profile, drain._w0, drain._c2, template.msdu_octets,
+                        current_ma, runs),
+        v_cutoff, cap_n, include_final_gap)
+    if settled is not None:
+        return settled
     (preamble_bits, preamble_charge), (body_bits, body_charge) = runs
 
     def burst_holds(after_gap: bool) -> bool:

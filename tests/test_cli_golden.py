@@ -59,6 +59,10 @@ CASES = {
     # One packet fits with room to spare: the planner proves the cap
     # without walking, and the report must not change.
     "plan-cycle-cap-limited": [*PLAN_CYCLE[:-2], "--cap-n", "1"],
+    # The cutoff is the repr of the 2-packet burst's own final voltage, so
+    # the planner's bracket cannot settle that burst and the walk decides.
+    "plan-cycle-near-tie": [*PLAN_CYCLE[:11], "--cutoff-v",
+                            "1.6933354069167803", *PLAN_CYCLE[13:]],
 }
 
 GOLDEN = {
@@ -235,6 +239,25 @@ GOLDEN = {
                    '  "v_init_v": 2.5\n'
                    '}\n'),
         "stderr": "",
+        "files": {},
+    },
+    "plan-cycle-near-tie": {
+        "status": 0,
+        "stdout": ('{\n'
+                   '  "active_time_s": 0.007353,\n'
+                   '  "capacitance_f": 0.00012,\n'
+                   '  "cutoff_v": 1.69334,\n'
+                   '  "cycle_time_s": 0.099573,\n'
+                   '  "duty_cycle": 0.0738453,\n'
+                   '  "e_total_uj": 202.957,\n'
+                   '  "n_packets": 2,\n'
+                   '  "recharge_time_s": 0.09222,\n'
+                   '  "v_final_v": 1.69334,\n'
+                   '  "v_init_v": 2.5\n'
+                   '}\n'),
+        "stderr": ('warning: supply voltage reached 1.693 V, below the 1.80 '
+                   'V brown-out level; the device constants are unvalidated '
+                   'down there\n'),
         "files": {},
     },
 }

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -73,10 +74,14 @@ def test_max_packets_unconstrained_with_huge_store(sig_profile, layout):
 
 def test_max_packets_with_a_huge_cap_walks(layout):
     # The bound's length guard is integer arithmetic: a cap_n near the
-    # float range skips the proof and walks, as without it.
+    # float range skips the proof. The bracket's guard counts only the
+    # packets it reaches, so it settles the answer; the walk agrees.
     profile = DeviceProfile(alpha1=4.0, alpha2=40.0, alpha3=0.5, alpha4=7.5)
-    assert max_packets(EscState(1e-3, 2.5), 1.8, PacketPlan(20, 0.0, 250000.0),
-                       profile, layout, 10**308) == 24
+    args = (EscState(1e-3, 2.5), 1.8, PacketPlan(20, 0.0, 250000.0), profile,
+            layout, 10**308)
+    assert max_packets(*args) == 24
+    with proofs_off():
+        assert max_packets(*args) == 24
 
 
 def test_max_packets_reference_scenario(sig_profile, layout):
@@ -181,8 +186,10 @@ def test_max_packets_equals_linear_scan_at_a_burst_boundary(
     if ulps:
         cutoff = max(0.0, math.nextafter(cutoff, ulps * math.inf))
     for final_gap in (True, False):
-        got = max_packets(initial, cutoff, plan, profile, layout, 12,
-                          include_final_gap=final_gap)
+        with drained_bits() as bits:
+            got = max_packets(initial, cutoff, plan, profile, layout, 12,
+                              include_final_gap=final_gap)
+        event("walked" if bits else "settled")
         assert got == linear_scan_max_packets(initial, cutoff, plan, profile,
                                               layout, 12, final_gap)
 
@@ -246,8 +253,19 @@ def test_max_packets_equals_linear_scan_at_the_cap(kind, cap_exp, v0, msdu,
                                               layout, cap_n, final_gap)
 
 
+@contextlib.contextmanager
+def proofs_off():
+    """``max_packets`` with the cap proof and the bracket switched off, so
+    that it always walks; yields the MonkeyPatch for further patches."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rfbudget.burst, "_walk_bound", lambda *args: math.inf)
+        patch.setattr(rfbudget.burst, "_burst_brackets",
+                      lambda *args: iter(()))
+        yield patch
+
+
 def walk_totals(initial, cutoff, plan, profile, layout, cap_n, final_gap):
-    """The answer of the ``max_packets`` walk with the proof switched off,
+    """The answer of the ``max_packets`` walk with both proofs switched off,
     and every withdrawal total the walk reached, bit by bit."""
     totals = []
 
@@ -265,9 +283,8 @@ def walk_totals(initial, cutoff, plan, profile, layout, cap_n, final_gap):
                                                 n_bits, charge_per_bit))
             return energy
 
-    with pytest.MonkeyPatch.context() as patch:
+    with proofs_off() as patch:
         patch.setattr(rfbudget.burst, "_Drain", Recording)
-        patch.setattr(rfbudget.burst, "_walk_bound", lambda *args: math.inf)
         n = max_packets(initial, cutoff, plan, profile, layout, cap_n,
                         include_final_gap=final_gap)
     return n, totals
@@ -316,26 +333,170 @@ def test_walk_bound_covers_every_total_the_walk_reaches(
                        include_final_gap=final_gap) == n
 
 
+def walk_voltages(initial, cutoff, plan, profile, layout, cap_n, final_gap):
+    """The answer of the ``max_packets`` walk with both proofs switched off,
+    and the voltage after every sleep ramp it tested, in order."""
+    voltages = []
+    sleeping = []
+    sleep_energy = rfbudget.burst.sleep_energy
+
+    def marked(*args):
+        sleeping.append(True)
+        return sleep_energy(*args)
+
+    class Recording(rfbudget.burst._Drain):
+        __slots__ = ()
+
+        def withdraw(self, energy_joules, **kwargs):
+            ramp = bool(sleeping)
+            sleeping.clear()
+            super().withdraw(energy_joules, **kwargs)
+            if ramp:
+                voltages.append(self.voltage)
+
+    with proofs_off() as patch:
+        patch.setattr(rfbudget.burst, "_Drain", Recording)
+        patch.setattr(rfbudget.burst, "sleep_energy", marked)
+        n = max_packets(initial, cutoff, plan, profile, layout, cap_n,
+                        include_final_gap=final_gap)
+    return n, voltages
+
+
+def burst_brackets(initial, plan, profile, layout):
+    """``max_packets``' brackets on the voltages its walk tests."""
+    current_ma = current_from_tx_power(profile, plan.tx_power)
+    return rfbudget.burst._burst_brackets(
+        profile, initial.voltage * initial.voltage, 2.0 / initial.capacitance,
+        plan.msdu_octets, current_ma,
+        rfbudget.burst._runs(layout, plan.msdu_octets, plan.data_rate,
+                             current_ma))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(GAP_PROFILES)),
+       cap_exp=st.floats(min_value=-6.0, max_value=16.0),
+       v0=st.floats(min_value=0.5, max_value=3.6),
+       cutoff_frac=st.floats(min_value=0.0, max_value=1.0),
+       msdu=st.integers(min_value=0, max_value=106),
+       rate=st.sampled_from([250e3, 1e6, 2e6]),
+       tx=st.floats(min_value=-10.0, max_value=3.5),
+       cap_n=st.integers(min_value=1, max_value=40))
+def test_bracket_holds_every_voltage_the_walk_tests(
+        kind, cap_exp, v0, cutoff_frac, msdu, rate, tx, cap_n):
+    # Every post-sleep voltage the proof-free walk tests lies inside its
+    # bracket, gapped and gapless, from stores one packet empties to
+    # stores whose voltage never moves; wherever the bracket settles N,
+    # the walk returns the same N.
+    profile = DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
+                            alpha4=ALPHA4, **GAP_PROFILES[kind])
+    layout = FrameLayout()
+    initial = EscState(capacitance=10.0 ** cap_exp, voltage=v0)
+    plan = template(msdu=msdu, rate=rate, tx=tx)
+    cutoff = cutoff_frac * v0
+    walked = {}
+    for final_gap in (True, False):
+        walked[final_gap] = walk_voltages(initial, cutoff, plan, profile,
+                                          layout, cap_n, final_gap)
+    n_gapped, gapped = walked[True]
+    # The gapless walk makes the gapped walk's tests, then at most one
+    # more: the first failing packet, gapless.
+    assert walked[False][1][:len(gapped)] == gapped
+    skipped = walked[False][1][len(gapped):]
+    brackets = list(itertools.islice(
+        burst_brackets(initial, plan, profile, layout), n_gapped + 1))
+    for ((lo, hi), _), v in zip(brackets, gapped):
+        assert lo <= v <= hi
+    if skipped and len(brackets) > n_gapped:
+        bracket = brackets[n_gapped][1]()
+        if bracket is not None:
+            lo, hi = bracket
+            assert lo <= skipped[0] <= hi
+    for final_gap in (True, False):
+        settled = rfbudget.burst._settle(
+            burst_brackets(initial, plan, profile, layout), cutoff, cap_n,
+            final_gap)
+        event("undecided" if settled is None else "settled")
+        if settled is not None:
+            assert settled == walked[final_gap][0]
+
+
+def rounded_up(total, energy):
+    """total + energy rounded toward +inf: TwoSum gives the exact error of
+    the nearest sum, and a positive error means it rounded down."""
+    s = total + energy
+    part = s - total
+    if (total - (s - part)) + (energy - part) > 0.0:
+        return math.nextafter(s, math.inf)
+    return s
+
+
+def test_bracket_covers_a_walk_whose_sums_all_round_up(sig_profile, layout):
+    # The allowance covers every rounding the error model admits, not only
+    # the walk's round-to-nearest errors, which mostly cancel. This replay
+    # of the walk rounds each addition to the total upward, so its voltage
+    # sags steadily below the real recursion's: over thousands of packets
+    # the sag outgrows the bracket's own outward rounding, and only the
+    # allowance still covers it.
+    initial = EscState(capacitance=0.06, voltage=3.6)
+    plan = template(msdu=0, rate=2e6)
+    current_ma = current_from_tx_power(sig_profile, plan.tx_power)
+    runs = rfbudget.burst._runs(layout, 0, plan.data_rate, current_ma)
+    w0, c2 = initial.voltage ** 2, 2.0 / initial.capacitance
+
+    def voltage(total):
+        return math.sqrt(w0 - c2 * total)
+
+    total = rounded_up(0.0, rfbudget.burst.wakeup_energy(
+        sig_profile, voltage(0.0), 0) * 1e-6)
+    brackets = burst_brackets(initial, plan, sig_profile, layout)
+    for k in range(1, 3001):
+        if k > 1:
+            total = rounded_up(total, rfbudget.burst.interpacket_overhead(
+                sig_profile, voltage(total), current_ma) * 1e-6)
+        for n_bits, charge in runs:
+            for _ in range(n_bits):
+                total = rounded_up(total, charge * voltage(total))
+        slept = rounded_up(total, rfbudget.burst.sleep_energy(
+            sig_profile, voltage(total), current_ma) * 1e-6)
+        (lo, hi), _ = next(brackets)
+        assert lo <= voltage(slept) <= hi, k
+
+
 @pytest.mark.parametrize("final_gap", [True, False])
 @pytest.mark.parametrize("cap_n", [1, 5, 300])
-def test_max_packets_drains_each_packet_once(sig_profile, layout, monkeypatch,
-                                             final_gap, cap_n):
+def test_max_packets_drains_each_packet_once(sig_profile, layout, final_gap,
+                                             cap_n):
     # The walk drains the N answer packets and the packet that failed;
-    # without the final gap it drains that packet once more, gapless.
-    bits = []
-    drain_bits = rfbudget.burst._Drain.drain_bits
-
-    def counted(self, n_bits, *args, **kwargs):
-        bits.append(n_bits)
-        return drain_bits(self, n_bits, *args, **kwargs)
-
-    monkeypatch.setattr(rfbudget.burst._Drain, "drain_bits", counted)
+    # without the final gap it drains that packet once more, gapless. Both
+    # proofs are off, so every case walks.
     initial = EscState(capacitance=2e-3, voltage=2.5)
-    n = max_packets(initial, 1.8, template(), sig_profile, layout, cap_n,
-                    include_final_gap=final_gap)
+    with proofs_off(), drained_bits() as bits:
+        n = max_packets(initial, 1.8, template(), sig_profile, layout, cap_n,
+                        include_final_gap=final_gap)
     assert n == min(cap_n, 17)
     frames = n + 1 if final_gap else n + 2
     assert sum(bits) <= frames * layout.frame_bits(template().msdu_octets)
+
+
+@pytest.mark.parametrize("final_gap", [True, False])
+def test_max_packets_walks_only_on_a_near_tie(sig_profile, layout, final_gap):
+    # Far from the cutoff the bracket settles N and nothing is drained. A
+    # cutoff exactly on the 17-packet burst's final voltage falls inside
+    # its bracket, so the walk decides.
+    initial = EscState(capacitance=2e-3, voltage=2.5)
+    with drained_bits() as bits:
+        assert max_packets(initial, 1.8, template(), sig_profile, layout, 300,
+                           include_final_gap=final_gap) == 17
+    assert bits == []
+    tie = burst_energy([template()] * 17, initial, sig_profile, layout,
+                       include_final_gap=final_gap, brownout_v=None,
+                       record_samples=False).final_state.voltage
+    with drained_bits() as bits:
+        got = max_packets(initial, tie, template(), sig_profile, layout, 300,
+                          include_final_gap=final_gap)
+    assert sum(bits) > 0
+    assert got == linear_scan_max_packets(initial, tie, template(),
+                                          sig_profile, layout, 300, final_gap)
 
 
 def test_planner_simulates_each_question_once(sig_profile, layout, monkeypatch):
