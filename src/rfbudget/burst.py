@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterator, Sequence
 
 from .device import (DeviceProfile, EscState, FrameLayout, PacketPlan,
@@ -499,11 +499,15 @@ _DOWN, _UP = 1.0 - 2.0 ** -51, 1.0 + 2.0 ** -51
 _DOWN8, _UP8 = 1.0 - 2.0 ** -49, 1.0 + 2.0 ** -49
 
 
+# Per packet k: a bracket on the voltage the planner tests after the burst
+# ending at packet k, and a function giving one without the gap before it.
+_Brackets = Iterator[tuple[tuple[float, float],
+                           Callable[[], "tuple[float, float] | None"]]]
+
+
 def _burst_brackets(profile: DeviceProfile, w0: float, c2: float,
                     msdu_octets: int, current_ma: float,
-                    runs: tuple[tuple[int, float], ...]
-                    ) -> Iterator[tuple[tuple[float, float], Callable[
-                        [], tuple[float, float] | None]]]:
+                    runs: tuple[tuple[int, float], ...]) -> _Brackets:
     """Two-sided brackets on the voltages the ``max_packets`` walk tests.
 
     For k = 1, 2, ... yields (lo, hi) around the walk's float voltage after
@@ -607,15 +611,17 @@ def _burst_brackets(profile: DeviceProfile, w0: float, c2: float,
         m += per_packet
 
 
-def _settle(brackets, v_cutoff: float, cap_n: int,
+def _settle(brackets: _Brackets, v_cutoff: float, cap_n: int,
             include_final_gap: bool) -> int | None:
-    """The answer of the ``max_packets`` walk from ``_burst_brackets``,
-    or None when a test it needs falls inside its bracket.
+    """N from ``brackets``, or None when a test it needs falls inside its
+    bracket.
 
-    A burst holds when its bracket's lower end is >= ``v_cutoff`` and fails
-    (by the cutoff or by depletion) when the upper end is below it. Like
-    the walk, it stops at the first burst that fails; without the final
-    gap it then settles that packet as the gapless last one.
+    A burst holds when its lo >= ``v_cutoff`` and fails (by the cutoff or
+    by depletion) when its hi < ``v_cutoff``. N counts the bursts that hold
+    before the first that fails, up to ``cap_n``. Without the final gap the
+    first failing packet is tested once more, gapless: a burst that skips a
+    gap holds wherever the gapped one does, as every bit and lump step is
+    non-decreasing in the withdrawn total on a store that is not depleted.
     """
     for n, ((lo, hi), skipped) in enumerate(brackets):
         if lo >= v_cutoff:
@@ -636,25 +642,60 @@ def _settle(brackets, v_cutoff: float, cap_n: int,
     return None
 
 
+def _walk(drain: _Drain, profile: DeviceProfile, msdu_octets: int,
+          current_ma: float, runs: tuple[tuple[int, float], ...]
+          ) -> _Brackets:
+    """The planner's tests on ``drain``, a full store, as zero-width
+    brackets: (v, v) after the sleep ramp of the burst ending at packet k,
+    or (-inf, -inf) when that burst, wake-up included, depletes the store.
+    It ends after the first depleted burst.
+
+    It makes ``burst_energy``'s withdrawals with every gap counted, with
+    the same floats, and drains each packet once: the sleep ramp after
+    packet k's frame is withdrawn, tested and rewound, and the walk goes on
+    from the frame. The gapless test drains packet k again from the total
+    before its gap, and leaves the walk's own state alone.
+    """
+    (preamble_bits, preamble_charge), (body_bits, body_charge) = runs
+
+    def tested(start: float, lump: Callable | None) -> tuple[float, float]:
+        """Test the next packet from ``start``, after ``lump`` if any."""
+        drain.total_joules = start
+        try:
+            if lump is not None:
+                drain.withdraw(lump(drain.voltage) * 1e-6)
+            drain.drain_bits(preamble_bits, preamble_charge)
+            drain.drain_bits(body_bits, body_charge)
+            post_frame = drain.total_joules
+            drain.withdraw(sleep_energy(profile, drain.voltage, current_ma) * 1e-6)
+        except EscDepletedError:
+            return -math.inf, -math.inf
+        v = drain.voltage
+        drain.total_joules = post_frame
+        return v, v
+
+    gap = partial(interpacket_overhead, profile, supply_current_ma=current_ma)
+    # Packet 1 follows the wake-up, and a one-packet burst has no gap to skip.
+    lump = skipped = partial(wakeup_energy, profile, msdu_octets=msdu_octets)
+    pre_gap = drain.total_joules
+    while True:
+        bracket = tested(pre_gap, lump)
+        post_frame = drain.total_joules
+        yield bracket, partial(tested, pre_gap, skipped)
+        if bracket[0] == -math.inf:
+            return
+        pre_gap, lump, skipped = post_frame, gap, None
+
+
 def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
                 profile: DeviceProfile, layout: FrameLayout, cap_n: int, *,
                 include_final_gap: bool = True) -> int:
     """Largest N <= cap_n such that every burst of 1..N identical packets
     ends at or above ``v_cutoff``; 0 when even one packet would break it.
 
-    One forward walk makes the withdrawals of ``burst_energy`` with every
-    gap counted, with the same floats, and drains each packet once: it
-    tests the burst ending at each packet by withdrawing the sleep ramp,
-    checking the cutoff and rewinding, and stops at the first burst that
-    fails or depletes the store. A burst without the final gap makes the
-    same withdrawals but one gap, and every bit and lump step is
-    non-decreasing in the withdrawn total on a store that is not depleted,
-    so it holds wherever the gapped burst holds. Only the first failing
-    packet is drained once more, from the pre-gap state, to test it as
-    the gapless last packet.
-
-    The walk is the last of three steps; the first two drain nothing and
-    return the walk's answer whenever they can prove it:
+    Three sources answer in turn, each only when the one before cannot,
+    with the same N. The first two drain nothing; ``_settle`` turns the
+    tests of the last two into N.
 
     1. The cap proof. ``_walk_bound`` bounds every total the walk could
        reach, from the withdrawals evaluated at the initial voltage. The
@@ -669,14 +710,12 @@ def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
        each mapping v to sqrt(v^2 - a*v), lowers the voltage by between
        n(a/2 + a^2/(8 v_start)) and n(a/2 + a^2/(8 v_end)), v_end a lower
        bound on the run's end; each lump is one exact step, and an
-       allowance covers the walk's rounding. ``_settle`` mirrors the
-       walk's tests: a burst holds when its bracket lies at or above
-       ``v_cutoff`` and fails when it lies below. One bracket step per run
+       allowance covers the walk's rounding. One bracket step per run
        replaces hundreds of bit steps.
-    3. The walk, from the start, only when a test it needs falls inside
-       its bracket (a near-tie with the cutoff), or the bracket's
-       hypotheses fail: a nearly empty store, or a step that draws more
-       than half the voltage.
+    3. The walk (``_walk``), whose zero-width brackets always decide, only
+       when a test the bracket needs falls inside it (a near-tie with the
+       cutoff), or the bracket's hypotheses fail: a nearly empty store, or
+       a step that draws more than half the voltage.
     """
     count("cap_n", cap_n, ge=1)
     if initial.voltage <= finite("v_cutoff", v_cutoff, ge=0):
@@ -691,47 +730,10 @@ def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
     arg = drain._w0 - drain._c2 * bound
     if arg > 0.0 and math.sqrt(arg) >= v_cutoff:
         return cap_n
-    settled = _settle(
-        _burst_brackets(profile, drain._w0, drain._c2, template.msdu_octets,
-                        current_ma, runs),
-        v_cutoff, cap_n, include_final_gap)
-    if settled is not None:
-        return settled
-    (preamble_bits, preamble_charge), (body_bits, body_charge) = runs
-
-    def burst_holds(after_gap: bool) -> bool:
-        """Drain the next packet and test the burst ending with it; leaves
-        the drain after the frame when the burst holds."""
-        try:
-            if after_gap:
-                drain.withdraw(interpacket_overhead(profile, drain.voltage,
-                                                    current_ma) * 1e-6)
-            drain.drain_bits(preamble_bits, preamble_charge)
-            drain.drain_bits(body_bits, body_charge)
-            pre_sleep = drain.total_joules
-            drain.withdraw(sleep_energy(profile, drain.voltage, current_ma) * 1e-6)
-        except EscDepletedError:
-            return False
-        holds = drain.voltage >= v_cutoff
-        drain.total_joules = pre_sleep
-        return holds
-
-    try:
-        drain.withdraw(wakeup_energy(profile, drain.voltage,
-                                     template.msdu_octets) * 1e-6)
-    except EscDepletedError:
-        return 0
-    n = 0
-    while n < cap_n:
-        pre_gap = drain.total_joules
-        if burst_holds(n > 0):
-            n += 1
-            continue
-        if n > 0 and not include_final_gap:
-            # The first failing packet may still end a burst that skips
-            # the gap before it; no longer burst can hold.
-            drain.total_joules = pre_gap
-            if burst_holds(False):
-                n += 1
-        break
-    return n
+    brackets = _burst_brackets(profile, drain._w0, drain._c2,
+                               template.msdu_octets, current_ma, runs)
+    walk = _walk(drain, profile, template.msdu_octets, current_ma, runs)
+    settled = _settle(brackets, v_cutoff, cap_n, include_final_gap)
+    if settled is None:
+        settled = _settle(walk, v_cutoff, cap_n, include_final_gap)
+    return settled

@@ -80,8 +80,7 @@ def test_max_packets_with_a_huge_cap_walks(layout):
     args = (EscState(1e-3, 2.5), 1.8, PacketPlan(20, 0.0, 250000.0), profile,
             layout, 10**308)
     assert max_packets(*args) == 24
-    with proofs_off():
-        assert max_packets(*args) == 24
+    assert walked(*args, True)[0] == 24
 
 
 def test_max_packets_reference_scenario(sig_profile, layout):
@@ -119,8 +118,7 @@ def test_max_packets_randomized_binary_equals_linear(sig_profile, layout):
        final_gap=st.booleans())
 def test_max_packets_equals_linear_scan_property(cap, v0, cutoff_frac, msdu,
                                                   rate, final_gap):
-    profile = DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
-                            alpha4=ALPHA4)
+    profile = gap_profile("measured")
     initial = EscState(capacitance=cap, voltage=v0)
     cutoff = cutoff_frac * v0
     plan = template(msdu=msdu, rate=rate)
@@ -133,8 +131,7 @@ def test_max_packets_equals_linear_scan_property(cap, v0, cutoff_frac, msdu,
 def test_max_packets_depletion_in_the_skipped_gap(layout):
     # Without the final gap the 2-packet burst fits, but the store depletes
     # in the gap after packet 1 that every longer burst must pay for.
-    profile = DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
-                            alpha4=ALPHA4, txrx_on_time=80.0)
+    profile = gap_profile("long gap")
     initial = EscState(capacitance=1e-4, voltage=2.5)
     with pytest.raises(EscDepletedError) as info:
         burst_energy([template()] * 2, initial, profile, layout,
@@ -159,6 +156,18 @@ GAP_PROFILES = {
 }
 
 
+def gap_profile(kind):
+    return DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
+                         alpha4=ALPHA4, **GAP_PROFILES[kind])
+
+
+def case(kind, cap_exp, v0, msdu, rate, tx=REF_TX_DBM):
+    """A store of 10**cap_exp F at v0, a packet, a gap profile, a layout."""
+    return (EscState(capacitance=10.0 ** cap_exp, voltage=v0),
+            template(msdu=msdu, rate=rate, tx=tx), gap_profile(kind),
+            FrameLayout())
+
+
 @settings(max_examples=120, deadline=None)
 @given(kind=st.sampled_from(sorted(GAP_PROFILES)),
        cap_exp=st.floats(min_value=-5.0, max_value=-2.3),
@@ -172,11 +181,7 @@ def test_max_packets_equals_linear_scan_at_a_burst_boundary(
         kind, cap_exp, v0, msdu, rate, k, cutoff_gap, ulps):
     # The cutoff sits on the final voltage of a k-packet burst, with or
     # without the final gap, or one ulp either side of it.
-    profile = DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
-                            alpha4=ALPHA4, **GAP_PROFILES[kind])
-    layout = FrameLayout()
-    initial = EscState(capacitance=10.0 ** cap_exp, voltage=v0)
-    plan = template(msdu=msdu, rate=rate)
+    initial, plan, profile, layout = case(kind, cap_exp, v0, msdu, rate)
     try:
         cutoff = burst_energy([plan] * k, initial, profile, layout,
                               include_final_gap=cutoff_gap, brownout_v=None,
@@ -194,14 +199,19 @@ def test_max_packets_equals_linear_scan_at_a_burst_boundary(
                                               layout, 12, final_gap)
 
 
+def supply(plan, profile, layout):
+    """The supply current and the frame's runs ``max_packets`` plans with."""
+    current_ma = current_from_tx_power(profile, plan.tx_power)
+    return current_ma, rfbudget.burst._runs(layout, plan.msdu_octets,
+                                            plan.data_rate, current_ma)
+
+
 def walk_bound(initial, plan, profile, layout, cap_n):
     """``max_packets``' bound on the totals of its walk over ``cap_n``
     packets."""
-    current_ma = current_from_tx_power(profile, plan.tx_power)
     return rfbudget.burst._walk_bound(
         profile, initial.voltage * initial.voltage, plan.msdu_octets,
-        current_ma, rfbudget.burst._runs(layout, plan.msdu_octets,
-                                         plan.data_rate, current_ma), cap_n)
+        *supply(plan, profile, layout), cap_n)
 
 
 def proof_cutoff(initial, bound):
@@ -226,11 +236,7 @@ def test_max_packets_equals_linear_scan_at_the_cap(kind, cap_exp, v0, msdu,
     # The cutoff sits on the final voltage of the cap_n-packet burst, where
     # the walk decides, or on the highest cutoff the bound proves, or one
     # ulp either side of either.
-    profile = DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
-                            alpha4=ALPHA4, **GAP_PROFILES[kind])
-    layout = FrameLayout()
-    initial = EscState(capacitance=10.0 ** cap_exp, voltage=v0)
-    plan = template(msdu=msdu, rate=rate)
+    initial, plan, profile, layout = case(kind, cap_exp, v0, msdu, rate)
     for final_gap in (True, False):
         if anchor == "proof":
             cutoff = proof_cutoff(initial, walk_bound(initial, plan, profile,
@@ -253,41 +259,43 @@ def test_max_packets_equals_linear_scan_at_the_cap(kind, cap_exp, v0, msdu,
                                               layout, cap_n, final_gap)
 
 
-@contextlib.contextmanager
-def proofs_off():
-    """``max_packets`` with the cap proof and the bracket switched off, so
-    that it always walks; yields the MonkeyPatch for further patches."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rfbudget.burst, "_walk_bound", lambda *args: math.inf)
-        patch.setattr(rfbudget.burst, "_burst_brackets",
-                      lambda *args: iter(()))
-        yield patch
+class Recording(rfbudget.burst._Drain):
+    """A full store that records the bits of each ``drain_bits`` call and
+    every withdrawal total it reaches, bit by bit."""
+
+    def __init__(self, initial):
+        super().__init__(initial.voltage, initial.capacitance)
+        self.bits, self.totals = [], []
+
+    def withdraw(self, energy_joules, **kwargs):
+        super().withdraw(energy_joules, **kwargs)
+        self.totals.append(self.total_joules)
+
+    def drain_bits(self, n_bits, charge_per_bit, **kwargs):
+        self.bits.append(n_bits)
+        start = self.total_joules
+        energy = super().drain_bits(n_bits, charge_per_bit, **kwargs)
+        self.totals.extend(rfbudget.burst._steps(self._w0, self._c2, start,
+                                                 n_bits, charge_per_bit))
+        return energy
 
 
-def walk_totals(initial, cutoff, plan, profile, layout, cap_n, final_gap):
-    """The answer of the ``max_packets`` walk with both proofs switched off,
-    and every withdrawal total the walk reached, bit by bit."""
-    totals = []
+def walk(initial, plan, profile, layout, drain=None):
+    """``max_packets``' walk on ``drain``, by default a full store."""
+    return rfbudget.burst._walk(
+        drain or rfbudget.burst._Drain(initial.voltage, initial.capacitance),
+        profile, plan.msdu_octets, *supply(plan, profile, layout))
 
-    class Recording(rfbudget.burst._Drain):
-        __slots__ = ()
 
-        def withdraw(self, energy_joules, **kwargs):
-            super().withdraw(energy_joules, **kwargs)
-            totals.append(self.total_joules)
-
-        def drain_bits(self, n_bits, charge_per_bit, **kwargs):
-            start = self.total_joules
-            energy = super().drain_bits(n_bits, charge_per_bit, **kwargs)
-            totals.extend(rfbudget.burst._steps(self._w0, self._c2, start,
-                                                n_bits, charge_per_bit))
-            return energy
-
-    with proofs_off() as patch:
-        patch.setattr(rfbudget.burst, "_Drain", Recording)
-        n = max_packets(initial, cutoff, plan, profile, layout, cap_n,
-                        include_final_gap=final_gap)
-    return n, totals
+def walked(initial, cutoff, plan, profile, layout, cap_n, final_gap):
+    """``max_packets``' answer from its walk, with neither proof before it,
+    and the Recording store the walk drained."""
+    drain = Recording(initial)
+    if cutoff >= initial.voltage:
+        # max_packets answers 0 before it tries any source.
+        return 0, drain
+    return rfbudget.burst._settle(walk(initial, plan, profile, layout, drain),
+                                  cutoff, cap_n, final_gap), drain
 
 
 @settings(max_examples=150, deadline=None)
@@ -311,16 +319,12 @@ def test_walk_bound_covers_every_total_the_walk_reaches(
     # bit costs its bound and only the rounding allowance separates the
     # walk's total from the bound: wherever the proof holds, the walk
     # returns cap_n and never reaches a total above the bound.
-    profile = DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
-                            alpha4=ALPHA4, **GAP_PROFILES[kind])
-    layout = FrameLayout()
-    initial = EscState(capacitance=10.0 ** cap_exp, voltage=v0)
-    plan = template(msdu=msdu, rate=rate, tx=tx)
+    initial, plan, profile, layout = case(kind, cap_exp, v0, msdu, rate, tx)
     bound = walk_bound(initial, plan, profile, layout, cap_n)
     limit = proof_cutoff(initial, bound)
     cutoff = cutoff_frac * limit
-    n, totals = walk_totals(initial, cutoff, plan, profile, layout, cap_n,
-                            final_gap)
+    n, drain = walked(initial, cutoff, plan, profile, layout, cap_n,
+                      final_gap)
     # The cutoff is at most the limit, so the proof holds unless the bound
     # depletes the store, or the store starts at or below the cutoff and
     # max_packets answers 0 before it tries the proof.
@@ -328,48 +332,16 @@ def test_walk_bound_covers_every_total_the_walk_reaches(
     event("proof holds" if proved else "proof fails")
     if proved:
         assert n == cap_n
-        assert max(totals) <= bound
+        assert max(drain.totals) <= bound
     assert max_packets(initial, cutoff, plan, profile, layout, cap_n,
                        include_final_gap=final_gap) == n
 
 
-def walk_voltages(initial, cutoff, plan, profile, layout, cap_n, final_gap):
-    """The answer of the ``max_packets`` walk with both proofs switched off,
-    and the voltage after every sleep ramp it tested, in order."""
-    voltages = []
-    sleeping = []
-    sleep_energy = rfbudget.burst.sleep_energy
-
-    def marked(*args):
-        sleeping.append(True)
-        return sleep_energy(*args)
-
-    class Recording(rfbudget.burst._Drain):
-        __slots__ = ()
-
-        def withdraw(self, energy_joules, **kwargs):
-            ramp = bool(sleeping)
-            sleeping.clear()
-            super().withdraw(energy_joules, **kwargs)
-            if ramp:
-                voltages.append(self.voltage)
-
-    with proofs_off() as patch:
-        patch.setattr(rfbudget.burst, "_Drain", Recording)
-        patch.setattr(rfbudget.burst, "sleep_energy", marked)
-        n = max_packets(initial, cutoff, plan, profile, layout, cap_n,
-                        include_final_gap=final_gap)
-    return n, voltages
-
-
 def burst_brackets(initial, plan, profile, layout):
     """``max_packets``' brackets on the voltages its walk tests."""
-    current_ma = current_from_tx_power(profile, plan.tx_power)
     return rfbudget.burst._burst_brackets(
         profile, initial.voltage * initial.voltage, 2.0 / initial.capacitance,
-        plan.msdu_octets, current_ma,
-        rfbudget.burst._runs(layout, plan.msdu_octets, plan.data_rate,
-                             current_ma))
+        plan.msdu_octets, *supply(plan, profile, layout))
 
 
 @settings(max_examples=150, deadline=None)
@@ -383,41 +355,65 @@ def burst_brackets(initial, plan, profile, layout):
        cap_n=st.integers(min_value=1, max_value=40))
 def test_bracket_holds_every_voltage_the_walk_tests(
         kind, cap_exp, v0, cutoff_frac, msdu, rate, tx, cap_n):
-    # Every post-sleep voltage the proof-free walk tests lies inside its
-    # bracket, gapped and gapless, from stores one packet empties to
-    # stores whose voltage never moves; wherever the bracket settles N,
-    # the walk returns the same N.
-    profile = DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
-                            alpha4=ALPHA4, **GAP_PROFILES[kind])
-    layout = FrameLayout()
-    initial = EscState(capacitance=10.0 ** cap_exp, voltage=v0)
-    plan = template(msdu=msdu, rate=rate, tx=tx)
+    # Every post-sleep voltage the walk tests lies inside its bracket,
+    # gapped and gapless, from stores one packet empties to stores whose
+    # voltage never moves; wherever the bracket settles N, the walk
+    # returns the same N.
+    initial, plan, profile, layout = case(kind, cap_exp, v0, msdu, rate, tx)
     cutoff = cutoff_frac * v0
-    walked = {}
-    for final_gap in (True, False):
-        walked[final_gap] = walk_voltages(initial, cutoff, plan, profile,
-                                          layout, cap_n, final_gap)
-    n_gapped, gapped = walked[True]
-    # The gapless walk makes the gapped walk's tests, then at most one
-    # more: the first failing packet, gapless.
-    assert walked[False][1][:len(gapped)] == gapped
-    skipped = walked[False][1][len(gapped):]
-    brackets = list(itertools.islice(
-        burst_brackets(initial, plan, profile, layout), n_gapped + 1))
-    for ((lo, hi), _), v in zip(brackets, gapped):
-        assert lo <= v <= hi
-    if skipped and len(brackets) > n_gapped:
-        bracket = brackets[n_gapped][1]()
-        if bracket is not None:
+    tests = itertools.islice(walk(initial, plan, profile, layout), cap_n)
+    for ((v, _), skipped), ((lo, hi), bracket) in zip(
+            tests, burst_brackets(initial, plan, profile, layout)):
+        if v > -math.inf:
+            assert lo <= v <= hi
+        (v, _), bracket = skipped(), bracket()
+        if v > -math.inf and bracket is not None:
             lo, hi = bracket
-            assert lo <= skipped[0] <= hi
+            assert lo <= v <= hi
     for final_gap in (True, False):
         settled = rfbudget.burst._settle(
             burst_brackets(initial, plan, profile, layout), cutoff, cap_n,
             final_gap)
         event("undecided" if settled is None else "settled")
         if settled is not None:
-            assert settled == walked[final_gap][0]
+            assert settled == rfbudget.burst._settle(
+                walk(initial, plan, profile, layout), cutoff, cap_n,
+                final_gap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(sorted(GAP_PROFILES)),
+       cap_exp=st.floats(min_value=-6.0, max_value=16.0),
+       v0=st.floats(min_value=0.5, max_value=3.6),
+       msdu=st.integers(min_value=0, max_value=106),
+       rate=st.sampled_from([250e3, 1e6, 2e6]),
+       tx=st.floats(min_value=-10.0, max_value=3.5),
+       k=st.integers(min_value=1, max_value=40))
+# A 1 uF store that the wake-up alone empties, and a store that the gap
+# before packet 2 empties, though the gapless 2-packet burst holds.
+@example(kind="measured", cap_exp=-6.0, v0=2.5, msdu=20, rate=250e3, tx=0.0,
+         k=1)
+@example(kind="long gap", cap_exp=-4.0, v0=2.5, msdu=20, rate=250e3, tx=0.0,
+         k=40)
+def test_walk_makes_the_floats_of_burst_energy(kind, cap_exp, v0, msdu, rate,
+                                               tx, k):
+    # The walk's k-th test, gapped and gapless, is the final voltage of the
+    # k-packet burst_energy, and -inf exactly when that burst depletes the
+    # store. The walk ends after its first depleted test.
+    initial, plan, profile, layout = case(kind, cap_exp, v0, msdu, rate, tx)
+    tests = list(itertools.islice(walk(initial, plan, profile, layout), k))
+    gapped, skipped = tests[-1]
+    assert all(v > -math.inf for (v, _), _ in tests[:-1])
+    assert len(tests) == k or gapped[0] == -math.inf
+    event("depleted" if gapped[0] == -math.inf else "held")
+    for final_gap, (lo, hi) in ((True, gapped), (False, skipped())):
+        try:
+            want = burst_energy([plan] * len(tests), initial, profile, layout,
+                                include_final_gap=final_gap, brownout_v=None,
+                                record_samples=False).final_state.voltage
+        except EscDepletedError:
+            want = -math.inf
+        assert lo == hi == want
 
 
 def rounded_up(total, energy):
@@ -439,8 +435,7 @@ def test_bracket_covers_a_walk_whose_sums_all_round_up(sig_profile, layout):
     # allowance still covers it.
     initial = EscState(capacitance=0.06, voltage=3.6)
     plan = template(msdu=0, rate=2e6)
-    current_ma = current_from_tx_power(sig_profile, plan.tx_power)
-    runs = rfbudget.burst._runs(layout, 0, plan.data_rate, current_ma)
+    current_ma, runs = supply(plan, sig_profile, layout)
     w0, c2 = initial.voltage ** 2, 2.0 / initial.capacitance
 
     def voltage(total):
@@ -467,15 +462,14 @@ def test_bracket_covers_a_walk_whose_sums_all_round_up(sig_profile, layout):
 def test_max_packets_drains_each_packet_once(sig_profile, layout, final_gap,
                                              cap_n):
     # The walk drains the N answer packets and the packet that failed;
-    # without the final gap it drains that packet once more, gapless. Both
-    # proofs are off, so every case walks.
+    # without the final gap it drains that packet once more, gapless.
     initial = EscState(capacitance=2e-3, voltage=2.5)
-    with proofs_off(), drained_bits() as bits:
-        n = max_packets(initial, 1.8, template(), sig_profile, layout, cap_n,
-                        include_final_gap=final_gap)
+    n, drain = walked(initial, 1.8, template(), sig_profile, layout, cap_n,
+                      final_gap)
     assert n == min(cap_n, 17)
     frames = n + 1 if final_gap else n + 2
-    assert sum(bits) <= frames * layout.frame_bits(template().msdu_octets)
+    assert sum(drain.bits) <= frames * layout.frame_bits(
+        template().msdu_octets)
 
 
 @pytest.mark.parametrize("final_gap", [True, False])
