@@ -26,6 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 from .device import (DeviceProfile, EscState, FrameLayout, PacketPlan,
@@ -208,9 +209,12 @@ class _Drain:
         Returns the energy (J) drawn by this segment; no per-bit total is
         kept (``BurstReport.sample_rows`` replays them).
 
-        Each bit is one statement with no test. Depletion shows either as
-        the ValueError ``math.sqrt`` raises on a negative argument or in
-        the one test of the argument after the segment. Only then is the
+        Each bit is one statement with no test. The loop over
+        ``itertools.repeat`` holds 16 copies of it, and a remainder loop
+        runs the last ``n_bits & 15`` bits: 0 or 8 for a frame segment,
+        whose length is a multiple of 8. Depletion shows either as the
+        ValueError ``math.sqrt`` raises on a negative argument or in the
+        one test of the argument after the segment. Only then is the
         segment replayed from its start with a test after every bit
         (``_raise_depleted``), which repeats the same float operations and
         so names the same first bit that brought the argument to <= 0.
@@ -221,12 +225,24 @@ class _Drain:
         b = charge_per_bit
         sqrt = math.sqrt
         try:
-            for _ in range(n_bits >> 2):
+            for _ in repeat(None, n_bits >> 4):
                 total += b * sqrt(w0 - c2 * total)
                 total += b * sqrt(w0 - c2 * total)
                 total += b * sqrt(w0 - c2 * total)
                 total += b * sqrt(w0 - c2 * total)
-            for _ in range(n_bits & 3):
+                total += b * sqrt(w0 - c2 * total)
+                total += b * sqrt(w0 - c2 * total)
+                total += b * sqrt(w0 - c2 * total)
+                total += b * sqrt(w0 - c2 * total)
+                total += b * sqrt(w0 - c2 * total)
+                total += b * sqrt(w0 - c2 * total)
+                total += b * sqrt(w0 - c2 * total)
+                total += b * sqrt(w0 - c2 * total)
+                total += b * sqrt(w0 - c2 * total)
+                total += b * sqrt(w0 - c2 * total)
+                total += b * sqrt(w0 - c2 * total)
+                total += b * sqrt(w0 - c2 * total)
+            for _ in repeat(None, n_bits & 15):
                 total += b * sqrt(w0 - c2 * total)
         except ValueError:
             self._raise_depleted(start, n_bits, b, packet, segment)
@@ -718,7 +734,11 @@ def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
        a step that draws more than half the voltage.
     """
     count("cap_n", cap_n, ge=1)
-    if initial.voltage <= finite("v_cutoff", v_cutoff, ge=0):
+    # No burst raises the voltage, so a store below the cutoff, or an empty
+    # one, holds no packet. A store at the cutoff holds every burst that
+    # leaves its float voltage unchanged, so the sources below decide.
+    if (initial.voltage < finite("v_cutoff", v_cutoff, ge=0)
+            or initial.voltage == 0.0):
         return 0
     (current_ma,) = _supply_currents((template,), profile, layout)
     drain = _Drain(initial.voltage, initial.capacitance)

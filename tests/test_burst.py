@@ -559,6 +559,68 @@ def test_drain_equals_the_checked_reference(plans, capacitance, v0,
         assert got_total == expected_total
 
 
+def assert_segment_matches_reference(v0, current_ma, n_bits, capacitance):
+    call = lambda: segment_energy(v0, current_ma, 250e3, n_bits, capacitance)
+    assert run_on(_Drain, call) == run_on(CheckedDrain, call)
+
+
+def first_depleted_bit(v0, current_ma, capacitance, n_bits):
+    drain = CheckedDrain(v0, capacitance)
+    try:
+        drain.drain_bits(n_bits, current_ma * 1e-3 / 250e3)
+    except EscDepletedError as exc:
+        return exc.bit
+    return None
+
+
+def depleting_store(bit, v0=2.5, current_ma=20.0):
+    """A capacitance on which the checked drain first leaves a square-root
+    argument <= 0 at ``bit``: bisected on log C, since a larger store
+    depletes no earlier."""
+    lo, hi = -12.0, -2.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        got = first_depleted_bit(v0, current_ma, 10.0 ** mid, bit + 1)
+        if got == bit:
+            return 10.0 ** mid
+        if got is not None and got < bit:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError(f"no store depletes at bit {bit}")
+
+
+def test_drain_residue_equals_the_checked_reference():
+    # Every remainder of the 16-statement body, on a store that does not
+    # deplete.
+    for n_bits in range(49):
+        assert_segment_matches_reference(3.0, 20.0, n_bits, 1e-3)
+
+
+@pytest.mark.parametrize("r", range(1, 17))
+def test_drain_depletes_at_every_position_of_a_block(r):
+    # Bit 32 + r lies in the third pass of the 16-statement body (80 bits
+    # make five passes and no remainder).
+    cap = depleting_store(32 + r)
+    assert first_depleted_bit(2.5, 20.0, cap, 80) == 32 + r
+    assert_segment_matches_reference(2.5, 20.0, 80, cap)
+    if r < 16:
+        # Bit 48 + r lies in the remainder loop of a 63-bit segment (three
+        # passes, then 15 single bits); that loop holds at most 15 bits.
+        cap = depleting_store(48 + r)
+        assert first_depleted_bit(2.5, 20.0, cap, 63) == 48 + r
+        assert_segment_matches_reference(2.5, 20.0, 63, cap)
+
+
+@pytest.mark.parametrize("n_bits", [56, 64])
+def test_drain_depletes_at_the_last_bit_of_a_segment(n_bits):
+    # No later bit raises in math.sqrt: only the test after the segment
+    # sees the depletion, at the end of an 8-bit remainder (a frame
+    # segment's) or of a pass.
+    cap = depleting_store(n_bits)
+    assert_segment_matches_reference(2.5, 20.0, n_bits, cap)
+
+
 def test_cycle_report_burst_equals_a_direct_burst(sig_profile, layout):
     initial = EscState(capacitance=2e-3, voltage=3.0)
     model = ChargeModel(v_oc=3.6, r_eq=800.0, capacitance=2e-3)

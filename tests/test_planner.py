@@ -46,6 +46,22 @@ def test_max_packets_zero_when_below_cutoff(sig_profile, layout):
     initial = EscState(capacitance=1e-3, voltage=1.8)
     assert max_packets(initial, 1.8, template(), sig_profile, layout, 10) == 0
     assert max_packets(initial, 2.5, template(), sig_profile, layout, 10) == 0
+    # An empty store holds no packet, even at a cutoff of 0 V.
+    empty = EscState(capacitance=1e-3, voltage=0.0)
+    assert max_packets(empty, 0.0, template(), sig_profile, layout, 10) == 0
+
+
+def test_max_packets_at_the_cutoff_counts_bursts_that_hold_it(sig_profile,
+                                                               layout):
+    # The store is so large that no burst moves the float voltage: every
+    # burst of 1..3 packets ends exactly at the cutoff, so all 3 fit.
+    initial = EscState(capacitance=1e16, voltage=2.5)
+    plan = PacketPlan(20, 0.0, 250e3)
+    for n in (1, 2, 3):
+        report = burst_energy([plan] * n, initial, sig_profile, layout,
+                              brownout_v=None, record_samples=False)
+        assert report.final_state.voltage == 2.5
+    assert max_packets(initial, 2.5, plan, sig_profile, layout, 3) == 3
 
 
 @contextlib.contextmanager
@@ -291,7 +307,7 @@ def walked(initial, cutoff, plan, profile, layout, cap_n, final_gap):
     """``max_packets``' answer from its walk, with neither proof before it,
     and the Recording store the walk drained."""
     drain = Recording(initial)
-    if cutoff >= initial.voltage:
+    if initial.voltage < cutoff or initial.voltage == 0.0:
         # max_packets answers 0 before it tries any source.
         return 0, drain
     return rfbudget.burst._settle(walk(initial, plan, profile, layout, drain),
