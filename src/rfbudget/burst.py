@@ -473,80 +473,95 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
         _layout=layout, _samples=record_samples)
 
 
-def _walk_bound(profile: DeviceProfile, w0: float, msdu_octets: int,
-                current_ma: float, runs: tuple[tuple[int, float], ...],
-                cap_n: int) -> float:
-    """An upper bound on every withdrawal total the ``max_packets`` walk
-    reaches over ``cap_n`` packets on a drain with squared initial voltage
-    ``w0``; inf when the walk makes more than 2^53 / 100 withdrawals, where
-    the rounding allowance below is not proven.
+# The planner considers no burst of more bits than this: about 77 s of
+# drain at 72 ns/bit, and so few withdrawals that m * 2^-53 stays below
+# 2^-22 in the rounding allowance of ``_search``.
+MAX_BURST_BITS = 2 ** 30
 
-    Each withdrawal is at most its value at v_top = sqrt(w0), the drain's
-    voltage at total 0: every float step from a total to a voltage, to a
-    bit's ``charge * v`` and to a lump (its constants are >= 0) is
-    monotone. So each total is at most the float sum of those upper terms,
-    and a float sum of m >= 0 terms is at most their exact sum times
-    (1 + u)^m <= 1 + m*u / (1 - m*u), u = 2^-53 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., ch. 3). The factor
-    1 + (m + 64) * 2^-50 covers that and the rounding of this sum itself;
-    the last term covers products that underflow.
+# Outward rounding, u = 2^-53: a positive float within a factor (1 +- u)^15
+# of an exact value (at most fifteen correctly rounded operations, a
+# ``math.log1p`` counted as four), times _DOWN (_UP) and rounded, is a
+# lower (upper) bound on it. A term that underflows is smaller than that
+# step takes off any voltage whose square is a normal float.
+_DOWN, _UP = 1.0 - 2.0 ** -48, 1.0 + 2.0 ** -48
+
+
+def _sums(*pieces: tuple[int, float]) -> tuple[float, float, float, float]:
+    """Bounds on A = sum(n*a) and A2 = sum(n*a^2) over ``pieces`` of n
+    steps with parameter a: (A above, A2 above, A below, A2 below)."""
+    total = sum(n * a for n, a in pieces)
+    squares = sum(n * a * a for n, a in pieces)
+    return total * _UP, squares * _UP, total * _DOWN, squares * _DOWN
+
+
+def _advance(bracket: tuple[float, float], j: int,
+             sums: tuple[float, float, float, float]
+             ) -> tuple[float, float] | None:
+    """A bracket on the voltage after j blocks of steps from a voltage in
+    ``bracket``, or None where the hypotheses below fail.
+
+    Each step maps v to sqrt(v^2 - a*v), a >= 0, and every block makes the
+    same steps, whose sums ``_sums`` bounds. With x = a/v, the series of
+    sqrt(1 - x), whose coefficients beyond x are all negative and at most
+    1/8 in size, gives
+        a/2 + a^2/(8v) <= v - sqrt(v^2 - a*v) <= a/2 + a^2/(8(v - a))
+    for x < 1, and the step is at most a. So a block from v lowers the
+    voltage by at least A/2 + A2/(8v) and by at most A/2 + A2/(8(v - A)).
+    Every block of the jump starts at or above lo - (j-1)*A, so each
+    lowers it by at most s = A/2 + A2/(8L), L = lo - j*A, which must be at
+    least lo/2. Block p then starts at most at hi - p*A/2 and at least at
+    lo - p*s, and the voltage after j blocks lies in
+        [lo - j*A/2 - A2/8 * sum 1/(lo - A - p*s),
+         hi - j*A/2 - A2/8 * sum 1/(hi - p*A/2)],  p = 0 .. j-1.
+    Both summands are convex in p. The midpoint rule bounds the first sum
+    from above by its integral from -1/2 to j - 1/2 (Hermite-Hadamard),
+    -log1p(-j*s/(c + s/2))/s with c = lo - A; Jensen bounds the second
+    from below by j/(hi - (j-1)*A/4). For j = 1 this is one bracket step
+    per packet, and any j costs the same few operations. Every float
+    operation is rounded outward (``_DOWN``/``_UP``).
     """
-    (preamble_bits, preamble_charge), (body_bits, body_charge) = runs
-    # The wake-up, every bit, a gap before each packet but the first and
-    # one sleep ramp: m additions, checked before anything becomes a float.
-    m = cap_n * (preamble_bits + body_bits + 1) + 1
-    if 100 * m > 2 ** 53:
-        return math.inf
-    v_top = math.sqrt(w0)
-    total = (wakeup_energy(profile, v_top, msdu_octets) * 1e-6
-             + cap_n * (preamble_bits * (preamble_charge * v_top)
-                        + body_bits * (body_charge * v_top))
-             + (cap_n - 1) * (interpacket_overhead(profile, v_top, current_ma)
-                              * 1e-6)
-             + sleep_energy(profile, v_top, current_ma) * 1e-6)
-    return total * (1.0 + (m + 64) * 2.0 ** -50) + 64 * math.ulp(0.0)
+    lo, hi = bracket
+    a_hi, a2_hi, a_lo, a2_lo = sums
+    low_end = (lo - j * a_hi) * _DOWN
+    if not 0.0 < 0.5 * lo <= low_end:
+        return None
+    s = (0.5 * a_hi + a2_hi / (8.0 * low_end)) * _UP
+    c = (lo - a_hi) * _DOWN
+    r = j * s / ((c + 0.5 * s) * _DOWN) * _UP
+    if not r < 1.0:
+        return None
+    lo = (lo - (0.5 * j * a_hi - a2_hi / (8.0 * s) * math.log1p(-r)) * _UP
+          ) * _DOWN
+    mean = (hi - 0.25 * (j - 1) * a_lo) * _UP
+    hi = (hi - (0.5 * j * a_lo + j * a2_lo / (8.0 * mean)) * _DOWN) * _UP
+    return lo, hi
 
 
-# Outward rounding, u = 2^-53: a positive float within a factor (1 +- u)^2
-# of an exact value (two correctly rounded operations, or the square root
-# of two), times _DOWN (_UP) and rounded, is a lower (upper) bound on it;
-# one within (1 +- u)^8, times _DOWN8 (_UP8).
-_DOWN, _UP = 1.0 - 2.0 ** -51, 1.0 + 2.0 ** -51
-_DOWN8, _UP8 = 1.0 - 2.0 ** -49, 1.0 + 2.0 ** -49
+# Per test: the packet k that ends the burst, a bracket on the voltage the
+# planner tests after that burst, and a function giving one without the
+# gap before packet k, or None.
+_Tests = Iterator[tuple[int, tuple[float, float],
+                        "Callable[[], tuple[float, float] | None] | None"]]
 
 
-# Per packet k: a bracket on the voltage the planner tests after the burst
-# ending at packet k, and a function giving one without the gap before it.
-_Brackets = Iterator[tuple[tuple[float, float],
-                           Callable[[], "tuple[float, float] | None"]]]
-
-
-def _burst_brackets(profile: DeviceProfile, w0: float, c2: float,
-                    msdu_octets: int, current_ma: float,
-                    runs: tuple[tuple[int, float], ...]) -> _Brackets:
-    """Two-sided brackets on the voltages the ``max_packets`` walk tests.
-
-    For k = 1, 2, ... yields (lo, hi) around the walk's float voltage after
-    the sleep ramp of the burst ending at packet k, and a function giving
-    the same for that burst without the gap before packet k (k > 1), or
-    None where its hypotheses fail. It stops at the first k whose
-    hypotheses below fail.
+def _search(profile: DeviceProfile, w0: float, c2: float, msdu_octets: int,
+            current_ma: float, runs: tuple[tuple[int, float], ...],
+            v_cutoff: float, cap_n: int) -> _Tests:
+    """Two-sided brackets on the voltages the ``max_packets`` walk tests,
+    for the bursts a jump search proves to hold and for its last test.
 
     The walk's steps are those of a real recursion on the voltage: each
-    withdrawal maps v to sqrt(v^2 - a*v), a >= 0, with a = c2*b for a bit of
-    charge b and a = c2*k for a lump of k*v joules (``wakeup_energy``,
-    ``interpacket_overhead`` and ``sleep_energy`` are linear in v). With
-    x = a/v, the series of sqrt(1 - x), whose coefficients beyond x^2 are
-    all negative and at most 1/8 in size, gives
-        v - a/2 - a^2/(8v) >= sqrt(v^2 - a*v) >= v - a/2 - a^2/(8(v - a)),
-    the first for x <= 1, the second for x < 1. Each step is also at most
-    a when v >= a, and increasing in v. So a run of n bits from [lo, hi]
-    ends in
-        [lo - n(a/2 + a^2/(8 L)),  hi - n(a/2 + a^2/(8 hi))],  L = lo - n*a,
-    required L >= lo/2 (x <= 1/2 on every bit); a lump is one exact
-    step, required a <= lo/2. One packet is three O(1) steps (gap,
-    preamble, body) where the walk drains hundreds of bits. Every float
-    operation here is rounded outward (``_DOWN``/``_UP``).
+    withdrawal maps v to sqrt(v^2 - a*v), with a = c2*b for a bit of charge
+    b and a = c2*k for a lump of k*v joules (``wakeup_energy``,
+    ``interpacket_overhead`` and ``sleep_energy`` are linear in v). The
+    search brackets the voltage after the frame of the last packet k it
+    proved; a jump of j packets (gap and frame each) is one ``_advance``,
+    and burst k + j is tested after its sleep ramp, j <= ``cap_n`` - k. j
+    doubles after a burst that holds (lo >= ``v_cutoff``) and halves after
+    one that does not or breaks the hypotheses. The search yields each
+    burst that holds and each j = 1 test, with a function that tests it
+    without the gap before packet k + 1, and ends after a j = 1 test that
+    does not hold or whose hypotheses fail: O(log N) bracket steps.
 
     The walk's float totals t^ stay near the real totals T of that
     recursion. Per withdrawal, the float step is the real step at t^ plus
@@ -560,111 +575,101 @@ def _burst_brackets(profile: DeviceProfile, w0: float, c2: float,
     and the float voltage differs from the real one by at most P/lo plus
     its own roots' rounding. q = 4P is then an allowance whose q/lo covers
     both, widening the bracket; q <= lo^2 keeps P <= lo^2/4, the store
-    far from empty, which the induction needs. The integer guard
-    100*m <= 2^53 keeps m*u tiny.
+    far from empty, which the induction needs. ``MAX_BURST_BITS`` keeps
+    m*u tiny.
+
+    A burst skipped by a jump that holds holds too. The real voltage the
+    walk tests does not increase with k: each packet only lowers the
+    voltage and the sleep step is increasing in v. So a skipped burst's
+    real path stays at or above the tested burst's real lo, and it makes
+    fewer withdrawals: its allowance is at most the tested one, and its
+    float voltage is at least the tested burst's widened lo.
     """
-    sqrt = math.sqrt
-    # Per run: n*a, n*a/2 and n*a^2/8 bounded from above, then n*a/2 and
-    # n*a^2/8 from below.
-    bounds = []
-    for n_bits, charge in runs:
-        a = c2 * charge
-        na = n_bits * a
-        bounds.append((na * _UP8, na * 0.5 * _UP8, na * a * 0.125 * _UP8,
-                       na * 0.5 * _DOWN8, na * a * 0.125 * _DOWN8))
-    # Per lump: a bounded from above and from below.
-    wake, gap, sleep = ((c2 * joules * 1e-6 * _UP, c2 * joules * 1e-6 * _DOWN)
-                        for joules in (
-                            wakeup_energy(profile, 1.0, msdu_octets),
-                            interpacket_overhead(profile, 1.0, current_ma),
-                            sleep_energy(profile, 1.0, current_ma)))
+    (preamble_bits, preamble_charge), (body_bits, body_charge) = runs
+    bits = ((preamble_bits, c2 * preamble_charge),
+            (body_bits, c2 * body_charge))
+    wake, gap, sleep = ((1, c2 * joules * 1e-6) for joules in (
+        wakeup_energy(profile, 1.0, msdu_octets),
+        interpacket_overhead(profile, 1.0, current_ma),
+        sleep_energy(profile, 1.0, current_ma)))
+    frame, packet, sleep = _sums(*bits), _sums(gap, *bits), _sums(sleep)
+    # Burst k withdraws k * per_packet + 1 times: wake-up, frames, gaps, sleep.
+    per_packet = preamble_bits + body_bits + 1
 
-    def lump(lo, hi, a):
-        a_hi, a_lo = a
-        if not a_hi <= 0.5 * lo:
-            return None
-        return sqrt(lo * (lo - a_hi)) * _DOWN, sqrt(hi * (hi - a_lo)) * _UP
-
-    def frame(lo, hi):
-        for na_hi, half_hi, sq_hi, half_lo, sq_lo in bounds:
-            low_end = (lo - na_hi) * _DOWN
-            if not 0.0 < 0.5 * lo <= low_end:
-                return None
-            lo = (lo - (half_hi + sq_hi / low_end) * _UP) * _DOWN
-            hi = (hi - (half_lo + sq_lo / hi) * _DOWN) * _UP
-        return lo, hi
-
-    def tested(bracket, m):
-        """The bracket after the sleep ramp, widened by the allowance."""
-        bracket = bracket and lump(*bracket, sleep)
+    def tested(bracket, k, *blocks):
+        """Burst k's bracket after ``blocks`` and the sleep ramp, widened by
+        the allowance."""
+        for sums in (*blocks, sleep):
+            bracket = bracket and _advance(bracket, 1, sums)
         if bracket is None:
             return None
         lo, hi = bracket
         lo2 = lo * lo
         if not lo2 > 0.0:
             return None
-        q = 2.0 ** -50 * w0 * (m + 16.0 + 2.0 * w0 / lo2)
+        q = 2.0 ** -50 * w0 * (k * per_packet + 17.0 + 2.0 * w0 / lo2)
         if not q <= lo2:
             return None
         return lo - q / lo, hi + q / lo
 
-    v_top = sqrt(w0)
-    state = lump(v_top * _DOWN, v_top * _UP, wake)
-    # Burst k withdraws the wake-up, k frames, k - 1 gaps and the sleep
-    # ramp: m withdrawals.
-    per_packet = sum(n_bits for n_bits, _ in runs) + 1
-    m = per_packet + 1
-    after_gap = state
-    while after_gap is not None and 100 * m <= 2 ** 53:
-        post_frame = frame(*after_gap)
-        post_sleep = tested(post_frame, m)
-        if post_sleep is None:
+    v_top = math.sqrt(w0)
+    held = _advance((v_top * _DOWN, v_top * _UP), 1, _sums(wake))
+    k, j = 0, 1
+    while held is not None and k < cap_n:
+        j = min(j, cap_n - k)
+        # Packet 1 follows the wake-up, with no gap before it.
+        post = _advance(held, j, packet if k else frame)
+        test = tested(post, k + j)
+        holds = test is not None and test[0] >= v_cutoff
+        if j > 1 and not holds:
+            j //= 2
+            continue
+        if test is None:
             return
-        yield post_sleep, (lambda pre_gap=state, m=m:
-                           tested(frame(*pre_gap), m))
-        state = post_frame
-        after_gap = lump(*state, gap)
-        m += per_packet
+        yield k + j, test, None if j > 1 else partial(tested, held, k + 1,
+                                                       frame)
+        if not holds:
+            return
+        k, j, held = k + j, 2 * j, post
 
 
-def _settle(brackets: _Brackets, v_cutoff: float, cap_n: int,
+def _settle(tests: _Tests, v_cutoff: float, cap_n: int,
             include_final_gap: bool) -> int | None:
-    """N from ``brackets``, or None when a test it needs falls inside its
+    """N from ``tests``, or None when a test it needs falls inside its
     bracket.
 
     A burst holds when its lo >= ``v_cutoff`` and fails (by the cutoff or
     by depletion) when its hi < ``v_cutoff``. N counts the bursts that hold
-    before the first that fails, up to ``cap_n``. Without the final gap the
-    first failing packet is tested once more, gapless: a burst that skips a
-    gap holds wherever the gapped one does, as every bit and lump step is
+    before the first that fails, up to ``cap_n``. A source yields a test
+    that does not hold only for the burst after the last that held, so N
+    is the packet before it. Without the final gap the first failing
+    packet is tested once more, gapless: a burst that skips a gap holds
+    wherever the gapped one does, as every bit and lump step is
     non-decreasing in the withdrawn total on a store that is not depleted.
     """
-    for n, ((lo, hi), skipped) in enumerate(brackets):
+    for k, (lo, hi), skipped in tests:
         if lo >= v_cutoff:
-            if n + 1 == cap_n:
+            if k == cap_n:
                 return cap_n
             continue
         if not hi < v_cutoff:
             return None
-        if n == 0 or include_final_gap:
-            return n
-        skipped = skipped()
-        if skipped is None:
-            return None
-        lo, hi = skipped
+        if k == 1 or include_final_gap:
+            return k - 1
+        # No gapless bracket leaves the test undecided.
+        lo, hi = skipped() or (-math.inf, math.inf)
         if lo >= v_cutoff:
-            return n + 1
-        return n if hi < v_cutoff else None
+            return k
+        return k - 1 if hi < v_cutoff else None
     return None
 
 
 def _walk(drain: _Drain, profile: DeviceProfile, msdu_octets: int,
-          current_ma: float, runs: tuple[tuple[int, float], ...]
-          ) -> _Brackets:
+          current_ma: float, runs: tuple[tuple[int, float], ...]) -> _Tests:
     """The planner's tests on ``drain``, a full store, as zero-width
-    brackets: (v, v) after the sleep ramp of the burst ending at packet k,
-    or (-inf, -inf) when that burst, wake-up included, depletes the store.
-    It ends after the first depleted burst.
+    brackets: for k = 1, 2, ..., (v, v) after the sleep ramp of the burst
+    ending at packet k, or (-inf, -inf) when that burst, wake-up included,
+    depletes the store. It ends after the first depleted burst.
 
     It makes ``burst_energy``'s withdrawals with every gap counted, with
     the same floats, and drains each packet once: the sleep ramp after
@@ -694,13 +699,14 @@ def _walk(drain: _Drain, profile: DeviceProfile, msdu_octets: int,
     # Packet 1 follows the wake-up, and a one-packet burst has no gap to skip.
     lump = skipped = partial(wakeup_energy, profile, msdu_octets=msdu_octets)
     pre_gap = drain.total_joules
+    k = 1
     while True:
         bracket = tested(pre_gap, lump)
         post_frame = drain.total_joules
-        yield bracket, partial(tested, pre_gap, skipped)
+        yield k, bracket, partial(tested, pre_gap, skipped)
         if bracket[0] == -math.inf:
             return
-        pre_gap, lump, skipped = post_frame, gap, None
+        pre_gap, lump, skipped, k = post_frame, gap, None, k + 1
 
 
 def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
@@ -709,29 +715,22 @@ def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
     """Largest N <= cap_n such that every burst of 1..N identical packets
     ends at or above ``v_cutoff``; 0 when even one packet would break it.
 
-    Three sources answer in turn, each only when the one before cannot,
-    with the same N. The first two drain nothing; ``_settle`` turns the
-    tests of the last two into N.
+    Two sources answer in turn, the second only when the first cannot,
+    with the same N; ``_settle`` turns the tests of each into N.
 
-    1. The cap proof. ``_walk_bound`` bounds every total the walk could
-       reach, from the withdrawals evaluated at the initial voltage. The
-       depletion and cutoff tests are monotone in the total, so when the
-       bound itself leaves the square-root argument > 0 and the voltage at
-       or above ``v_cutoff``, every test of the walk passes: it would
-       return ``cap_n`` in both gap modes. The bound charges every bit at
-       the initial voltage, so it applies when the capped burst ends above
-       the cutoff by a margin of about the burst's relative voltage drop.
-    2. The bracket. ``_burst_brackets`` follows the walk packet by packet
-       with a two-sided bound on each voltage it tests: a run of n bits,
-       each mapping v to sqrt(v^2 - a*v), lowers the voltage by between
-       n(a/2 + a^2/(8 v_start)) and n(a/2 + a^2/(8 v_end)), v_end a lower
-       bound on the run's end; each lump is one exact step, and an
-       allowance covers the walk's rounding. One bracket step per run
-       replaces hundreds of bit steps.
-    3. The walk (``_walk``), whose zero-width brackets always decide, only
-       when a test the bracket needs falls inside it (a near-tie with the
-       cutoff), or the bracket's hypotheses fail: a nearly empty store, or
-       a step that draws more than half the voltage.
+    1. The search (``_search``), which drains nothing. It brackets the
+       voltage each burst ends at, widened by an allowance for the walk's
+       rounding, with one closed-form step per jump of j packets. It
+       doubles j while the bursts hold and halves it when one does not,
+       so it settles N in O(log N) steps.
+    2. The walk (``_walk``), whose zero-width brackets always decide, only
+       when a test the search needs falls inside its bracket (a near-tie
+       with the cutoff), or the bracket's hypotheses fail: a nearly empty
+       store, or one packet that draws more than a quarter of the voltage.
+
+    No burst of more than ``MAX_BURST_BITS`` bits is considered: when
+    every burst up to that limit holds and ``cap_n`` lies beyond it, a
+    ValueError names the limit.
     """
     count("cap_n", cap_n, ge=1)
     # No burst raises the voltage, so a store below the cutoff, or an empty
@@ -745,15 +744,18 @@ def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
     # MHR, MSDU and FCS share one charge per bit, so one run drains them
     # with the floats of three.
     runs = _runs(layout, template.msdu_octets, template.data_rate, current_ma)
-    bound = _walk_bound(profile, drain._w0, template.msdu_octets, current_ma,
-                        runs, cap_n)
-    arg = drain._w0 - drain._c2 * bound
-    if arg > 0.0 and math.sqrt(arg) >= v_cutoff:
-        return cap_n
-    brackets = _burst_brackets(profile, drain._w0, drain._c2,
-                               template.msdu_octets, current_ma, runs)
-    walk = _walk(drain, profile, template.msdu_octets, current_ma, runs)
-    settled = _settle(brackets, v_cutoff, cap_n, include_final_gap)
-    if settled is None:
-        settled = _settle(walk, v_cutoff, cap_n, include_final_gap)
-    return settled
+    frame_bits = layout.frame_bits(template.msdu_octets)
+    cap = min(cap_n, MAX_BURST_BITS // frame_bits)
+    n = cap and _settle(_search(profile, drain._w0, drain._c2,
+                                template.msdu_octets, current_ma, runs,
+                                v_cutoff, cap),
+                        v_cutoff, cap, include_final_gap)
+    if n is None:
+        n = _settle(_walk(drain, profile, template.msdu_octets, current_ma,
+                          runs), v_cutoff, cap, include_final_gap)
+    if n == cap < cap_n:
+        raise ValueError(
+            f"cap_n {cap_n} lies beyond the planner's limit of "
+            f"MAX_BURST_BITS = {MAX_BURST_BITS} bits per burst ({cap} "
+            f"packets of {frame_bits} bits), and every burst up to it holds")
+    return n

@@ -1,6 +1,9 @@
 import contextlib
+import decimal
 import itertools
+import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import rfbudget.burst
+import rfbudget.cli
 import rfbudget.planner
 from rfbudget import (ChargeModel, DeviceProfile, EscDepletedError, EscState,
                       FrameLayout, PacketPlan, UnreachableVoltageError,
@@ -84,19 +88,51 @@ def test_max_packets_unconstrained_with_huge_store(sig_profile, layout):
     with drained_bits() as bits:
         assert max_packets(initial, 0.0, template(), sig_profile, layout,
                            7) == 7
-    # The bound proves all 7 packets fit: nothing is walked.
+    # The search proves all 7 packets fit: nothing is walked.
     assert bits == []
 
 
 def test_max_packets_with_a_huge_cap_walks(layout):
-    # The bound's length guard is integer arithmetic: a cap_n near the
-    # float range skips the proof. The bracket's guard counts only the
-    # packets it reaches, so it settles the answer; the walk agrees.
+    # A cap_n near the float range, far beyond the limit on a burst's bits:
+    # the search's jumps are clipped to the limit, the burst of packet 25
+    # fails well below it, and the answer is the walk's.
     profile = DeviceProfile(alpha1=4.0, alpha2=40.0, alpha3=0.5, alpha4=7.5)
     args = (EscState(1e-3, 2.5), 1.8, PacketPlan(20, 0.0, 250000.0), profile,
             layout, 10**308)
     assert max_packets(*args) == 24
     assert walked(*args, True)[0] == 24
+
+
+def test_max_packets_ends_a_huge_cap_at_the_limit(sig_profile, layout):
+    # The store barely moves, so every burst up to the limit on a burst's
+    # bits holds: the search proves that in a few dozen bracket steps and
+    # max_packets names the limit instead of planning 10**12 packets.
+    args = (EscState(1e16, 2.5), 1.0, PacketPlan(20, 0.0, 250e3),
+            sig_profile, layout, 10**12)
+    start = time.perf_counter()
+    with drained_bits() as bits, pytest.raises(ValueError,
+                                               match="MAX_BURST_BITS"):
+        max_packets(*args)
+    assert time.perf_counter() - start < 1.0
+    assert bits == []
+
+
+def test_cli_plan_cycle_ends_a_huge_cap_in_one_error_line(tmp_path, capsys):
+    config = tmp_path / "sig.json"
+    config.write_text(json.dumps({"device": {
+        "alpha1_dbm": ALPHA1, "alpha2_dbm": ALPHA2, "alpha3_per_ma": ALPHA3,
+        "alpha4_ma": ALPHA4}}))
+    status = rfbudget.cli.main([
+        "plan-cycle", "--config", str(config), "--capacitance-f", "1e16",
+        "--initial-v", "2.5", "--v-oc", "3.6", "--r-ohm", "800",
+        "--cutoff-v", "1.0", "--msdu-octets", "20", "--tx-power-dbm", "0",
+        "--data-rate-bps", "250000", "--cap-n", "1000000000000"])
+    out, err = capsys.readouterr()
+    assert status == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cap_n 1000000000000 ")
+    assert "MAX_BURST_BITS" in err
 
 
 def test_max_packets_reference_scenario(sig_profile, layout):
@@ -222,20 +258,21 @@ def supply(plan, profile, layout):
                                             plan.data_rate, current_ma)
 
 
-def walk_bound(initial, plan, profile, layout, cap_n):
-    """``max_packets``' bound on the totals of its walk over ``cap_n``
-    packets."""
-    return rfbudget.burst._walk_bound(
-        profile, initial.voltage * initial.voltage, plan.msdu_octets,
-        *supply(plan, profile, layout), cap_n)
+def search(initial, cutoff, plan, profile, layout, cap_n):
+    """``max_packets``' jump search: its tests of the bursts of at most
+    ``cap_n`` packets."""
+    return rfbudget.burst._search(
+        profile, initial.voltage * initial.voltage, 2.0 / initial.capacitance,
+        plan.msdu_octets, *supply(plan, profile, layout), cutoff, cap_n)
 
 
-def proof_cutoff(initial, bound):
-    """The highest cutoff at which ``bound`` proves that the capped burst
-    fits; 0.0 when it proves nothing, since the bound depletes the store."""
-    arg = (initial.voltage * initial.voltage
-           - 2.0 / initial.capacitance * bound)
-    return math.sqrt(arg) if arg > 0.0 else 0.0
+def proof_cutoff(initial, plan, profile, layout, cap_n):
+    """The search's own lo at ``cap_n`` when every burst holds: the highest
+    cutoff at which it proves the capped burst; 0.0 when it proves
+    nothing."""
+    return max((lo for k, (lo, _), _ in search(initial, 0.0, plan, profile,
+                                               layout, cap_n) if k == cap_n),
+               default=0.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -250,13 +287,12 @@ def proof_cutoff(initial, bound):
 def test_max_packets_equals_linear_scan_at_the_cap(kind, cap_exp, v0, msdu,
                                                    rate, cap_n, anchor, ulps):
     # The cutoff sits on the final voltage of the cap_n-packet burst, where
-    # the walk decides, or on the highest cutoff the bound proves, or one
+    # the walk decides, or on the highest cutoff the search proves, or one
     # ulp either side of either.
     initial, plan, profile, layout = case(kind, cap_exp, v0, msdu, rate)
     for final_gap in (True, False):
         if anchor == "proof":
-            cutoff = proof_cutoff(initial, walk_bound(initial, plan, profile,
-                                                      layout, cap_n))
+            cutoff = proof_cutoff(initial, plan, profile, layout, cap_n)
         else:
             try:
                 cutoff = burst_energy(
@@ -304,7 +340,7 @@ def walk(initial, plan, profile, layout, drain=None):
 
 
 def walked(initial, cutoff, plan, profile, layout, cap_n, final_gap):
-    """``max_packets``' answer from its walk, with neither proof before it,
+    """``max_packets``' answer from its walk, without the search before it,
     and the Recording store the walk drained."""
     drain = Recording(initial)
     if initial.voltage < cutoff or initial.voltage == 0.0:
@@ -322,79 +358,130 @@ def walked(initial, cutoff, plan, profile, layout, cap_n, final_gap):
        msdu=st.integers(min_value=0, max_value=106),
        rate=st.sampled_from([250e3, 1e6, 2e6]),
        tx=st.floats(min_value=-10.0, max_value=3.5),
-       cap_n=st.integers(min_value=1, max_value=40),
-       final_gap=st.booleans())
-# A store so large that the bound leaves the squared voltage as it was:
-# the limit, and so the cutoff, is the initial voltage.
+       cap_n=st.integers(min_value=1, max_value=40))
+# A store so large that no burst moves its float voltage, with the cutoff at
+# the initial voltage: only the rounding allowance keeps the search from
+# proving the capped burst, and the walk decides.
 @example(kind="measured", cap_exp=16.0, v0=2.5, cutoff_frac=1.0, msdu=20,
-         rate=250e3, tx=0.0, cap_n=3, final_gap=True)
-def test_walk_bound_covers_every_total_the_walk_reaches(
-        kind, cap_exp, v0, cutoff_frac, msdu, rate, tx, cap_n, final_gap):
-    # Small stores that one packet nearly empties, a gap below an ulp of the
-    # total, and stores so large that the voltage never moves, where every
-    # bit costs its bound and only the rounding allowance separates the
-    # walk's total from the bound: wherever the proof holds, the walk
-    # returns cap_n and never reaches a total above the bound.
+         rate=250e3, tx=0.0, cap_n=3)
+def test_bracket_holds_every_voltage_the_walk_tests(
+        kind, cap_exp, v0, cutoff_frac, msdu, rate, tx, cap_n):
+    # Every post-sleep voltage the walk tests up to cap_n is accounted for,
+    # from stores one packet empties to stores whose voltage never moves. A
+    # burst the search yields lies inside its bracket, gapped and, for a
+    # j = 1 test, gapless; a burst a jump skipped, to a burst proved to
+    # hold, is at or above the cutoff. Wherever the search settles N, the
+    # walk and max_packets return the same N.
     initial, plan, profile, layout = case(kind, cap_exp, v0, msdu, rate, tx)
-    bound = walk_bound(initial, plan, profile, layout, cap_n)
-    limit = proof_cutoff(initial, bound)
-    cutoff = cutoff_frac * limit
-    n, drain = walked(initial, cutoff, plan, profile, layout, cap_n,
+    cutoff = cutoff_frac * v0
+    tests = {k: (v, skipped) for k, (v, _), skipped in itertools.islice(
+        walk(initial, plan, profile, layout), cap_n)}
+    proved, ended = 0, False
+    for k, (lo, hi), gapless in search(initial, cutoff, plan, profile, layout,
+                                       cap_n):
+        assert not ended
+        v, skipped = tests[k]
+        assert lo <= v <= hi
+        if lo >= cutoff:
+            assert all(tests[i][0] >= cutoff for i in range(proved + 1, k))
+            event("skipped a burst" if k > proved + 1 else "tested a burst")
+            proved = k
+        else:
+            # A test that does not hold is the last, of the burst after the
+            # last that held.
+            assert k == proved + 1
+            ended = True
+        bracket = gapless and gapless()
+        if bracket:
+            (v, _), (lo, hi) = skipped(), bracket
+            assert lo <= v <= hi
+    for final_gap in (True, False):
+        n, _ = walked(initial, cutoff, plan, profile, layout, cap_n,
                       final_gap)
-    # The cutoff is at most the limit, so the proof holds unless the bound
-    # depletes the store, or the store starts at or below the cutoff and
-    # max_packets answers 0 before it tries the proof.
-    proved = limit > 0.0 and cutoff < v0
-    event("proof holds" if proved else "proof fails")
-    if proved:
-        assert n == cap_n
-        assert max(drain.totals) <= bound
-    assert max_packets(initial, cutoff, plan, profile, layout, cap_n,
-                       include_final_gap=final_gap) == n
+        settled = rfbudget.burst._settle(
+            search(initial, cutoff, plan, profile, layout, cap_n), cutoff,
+            cap_n, final_gap)
+        event("undecided" if settled is None else "settled")
+        assert settled in (None, n)
+        assert max_packets(initial, cutoff, plan, profile, layout, cap_n,
+                           include_final_gap=final_gap) == n
 
 
-def burst_brackets(initial, plan, profile, layout):
-    """``max_packets``' brackets on the voltages its walk tests."""
-    return rfbudget.burst._burst_brackets(
-        profile, initial.voltage * initial.voltage, 2.0 / initial.capacitance,
-        plan.msdu_octets, *supply(plan, profile, layout))
+def real_voltages(initial, plan, profile, layout, ks):
+    """For each burst k in ``ks``, its post-sleep voltage with every gap and
+    without the gap before packet k (None for k = 1), from a 40-digit
+    decimal replay of the walk's withdrawals: the real recursion that the
+    search brackets."""
+    current_ma, runs = supply(plan, profile, layout)
+    with decimal.localcontext() as context:
+        context.prec = 40
+        real = decimal.Decimal
+        w0 = real(initial.voltage * initial.voltage)
+        c2 = real(2.0 / initial.capacitance)
+        wake, gap, sleep = (real(joules) * real(1e-6) for joules in (
+            rfbudget.burst.wakeup_energy(profile, 1.0, plan.msdu_octets),
+            rfbudget.burst.interpacket_overhead(profile, 1.0, current_ma),
+            rfbudget.burst.sleep_energy(profile, 1.0, current_ma)))
+
+        def voltage(total):
+            return (w0 - c2 * total).sqrt()
+
+        def frame(total):
+            for n_bits, charge in runs:
+                charge = real(charge)
+                for _ in range(n_bits):
+                    total += charge * voltage(total)
+            return total
+
+        def slept(total):
+            return voltage(total + sleep * voltage(total))
+
+        before, after = None, frame(wake * voltage(real(0)))
+        out = {}
+        for k in range(1, max(ks) + 1):
+            if k > 1:
+                before = after
+                after = frame(before + gap * voltage(before))
+            if k in ks:
+                out[k] = (slept(after),
+                          None if before is None else slept(frame(before)))
+        return out
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(kind=st.sampled_from(sorted(GAP_PROFILES)),
-       cap_exp=st.floats(min_value=-6.0, max_value=16.0),
+       cap_exp=st.floats(min_value=-5.0, max_value=-2.0),
        v0=st.floats(min_value=0.5, max_value=3.6),
        cutoff_frac=st.floats(min_value=0.0, max_value=1.0),
        msdu=st.integers(min_value=0, max_value=106),
        rate=st.sampled_from([250e3, 1e6, 2e6]),
-       tx=st.floats(min_value=-10.0, max_value=3.5),
-       cap_n=st.integers(min_value=1, max_value=40))
-def test_bracket_holds_every_voltage_the_walk_tests(
-        kind, cap_exp, v0, cutoff_frac, msdu, rate, tx, cap_n):
-    # Every post-sleep voltage the walk tests lies inside its bracket,
-    # gapped and gapless, from stores one packet empties to stores whose
-    # voltage never moves; wherever the bracket settles N, the walk
-    # returns the same N.
+       tx=st.floats(min_value=-10.0, max_value=3.5))
+def test_bracket_holds_the_real_and_the_float_voltage(
+        kind, cap_exp, v0, cutoff_frac, msdu, rate, tx):
+    # The search brackets the real-number recursion, and its allowance
+    # covers the walk's float rounding: both post-sleep voltages of every
+    # burst it yields lie inside its bracket, on stores of up to about 2e4
+    # bits, near-empty ones included.
     initial, plan, profile, layout = case(kind, cap_exp, v0, msdu, rate, tx)
-    cutoff = cutoff_frac * v0
-    tests = itertools.islice(walk(initial, plan, profile, layout), cap_n)
-    for ((v, _), skipped), ((lo, hi), bracket) in zip(
-            tests, burst_brackets(initial, plan, profile, layout)):
-        if v > -math.inf:
+    cap_n = max(1, 20000 // layout.frame_bits(msdu))
+    yielded = list(search(initial, cutoff_frac * v0, plan, profile, layout,
+                          cap_n))
+    event("yielded" if yielded else "nothing yielded")
+    if not yielded:
+        return
+    real = real_voltages(initial, plan, profile, layout,
+                         {k for k, _, _ in yielded})
+    tests = {k: (v, skipped) for k, (v, _), skipped in itertools.islice(
+        walk(initial, plan, profile, layout), yielded[-1][0])}
+    for k, (lo, hi), gapless in yielded:
+        (v, skipped), (real_v, real_gapless) = tests[k], real[k]
+        assert lo <= v <= hi
+        assert lo <= real_v <= hi
+        bracket = gapless and gapless()
+        if bracket and real_gapless is not None:
+            (v, _), (lo, hi) = skipped(), bracket
             assert lo <= v <= hi
-        (v, _), bracket = skipped(), bracket()
-        if v > -math.inf and bracket is not None:
-            lo, hi = bracket
-            assert lo <= v <= hi
-    for final_gap in (True, False):
-        settled = rfbudget.burst._settle(
-            burst_brackets(initial, plan, profile, layout), cutoff, cap_n,
-            final_gap)
-        event("undecided" if settled is None else "settled")
-        if settled is not None:
-            assert settled == rfbudget.burst._settle(
-                walk(initial, plan, profile, layout), cutoff, cap_n,
-                final_gap)
+            assert lo <= real_gapless <= hi
 
 
 @settings(max_examples=100, deadline=None)
@@ -418,8 +505,9 @@ def test_walk_makes_the_floats_of_burst_energy(kind, cap_exp, v0, msdu, rate,
     # store. The walk ends after its first depleted test.
     initial, plan, profile, layout = case(kind, cap_exp, v0, msdu, rate, tx)
     tests = list(itertools.islice(walk(initial, plan, profile, layout), k))
-    gapped, skipped = tests[-1]
-    assert all(v > -math.inf for (v, _), _ in tests[:-1])
+    assert [n for n, _, _ in tests] == list(range(1, len(tests) + 1))
+    _, gapped, skipped = tests[-1]
+    assert all(v > -math.inf for _, (v, _), _ in tests[:-1])
     assert len(tests) == k or gapped[0] == -math.inf
     event("depleted" if gapped[0] == -math.inf else "held")
     for final_gap, (lo, hi) in ((True, gapped), (False, skipped())):
@@ -448,8 +536,8 @@ def test_bracket_covers_a_walk_whose_sums_all_round_up(sig_profile, layout):
     # of the walk rounds each addition to the total upward, so its voltage
     # sags steadily below the real recursion's: over thousands of packets
     # the sag outgrows the bracket's own outward rounding, and only the
-    # allowance still covers it.
-    initial = EscState(capacitance=0.06, voltage=3.6)
+    # allowance still covers it at the bursts the search proves.
+    initial = EscState(capacitance=0.6, voltage=3.6)
     plan = template(msdu=0, rate=2e6)
     current_ma, runs = supply(plan, sig_profile, layout)
     w0, c2 = initial.voltage ** 2, 2.0 / initial.capacitance
@@ -459,7 +547,9 @@ def test_bracket_covers_a_walk_whose_sums_all_round_up(sig_profile, layout):
 
     total = rounded_up(0.0, rfbudget.burst.wakeup_energy(
         sig_profile, voltage(0.0), 0) * 1e-6)
-    brackets = burst_brackets(initial, plan, sig_profile, layout)
+    brackets = {k: bracket for k, bracket, _ in search(
+        initial, 0.0, plan, sig_profile, layout, 3000)}
+    assert 3000 in brackets
     for k in range(1, 3001):
         if k > 1:
             total = rounded_up(total, rfbudget.burst.interpacket_overhead(
@@ -469,8 +559,9 @@ def test_bracket_covers_a_walk_whose_sums_all_round_up(sig_profile, layout):
                 total = rounded_up(total, charge * voltage(total))
         slept = rounded_up(total, rfbudget.burst.sleep_energy(
             sig_profile, voltage(total), current_ma) * 1e-6)
-        (lo, hi), _ = next(brackets)
-        assert lo <= voltage(slept) <= hi, k
+        if k in brackets:
+            lo, hi = brackets[k]
+            assert lo <= voltage(slept) <= hi, k
 
 
 @pytest.mark.parametrize("final_gap", [True, False])
