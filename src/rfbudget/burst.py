@@ -473,9 +473,8 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
         _layout=layout, _samples=record_samples)
 
 
-# The planner considers no burst of more bits than this: about 77 s of
-# drain at 72 ns/bit, and so few withdrawals that m * 2^-53 stays below
-# 2^-22 in the rounding allowance of ``_search``.
+# The planner considers no burst of more bits: about 77 s of drain at
+# 72 ns/bit, and m * 2^-53 < 2^-22 in the rounding allowance of ``_search``.
 MAX_BURST_BITS = 2 ** 30
 
 # Outward rounding, u = 2^-53: a positive float within a factor (1 +- u)^15
@@ -494,11 +493,21 @@ def _sums(*pieces: tuple[int, float]) -> tuple[float, float, float, float]:
     return total * _UP, squares * _UP, total * _DOWN, squares * _DOWN
 
 
-def _advance(bracket: tuple[float, float], j: int,
-             sums: tuple[float, float, float, float]
-             ) -> tuple[float, float] | None:
+def _lump(bracket: tuple[float, float] | None, a: float
+          ) -> tuple[float, float] | None:
+    """A bracket after one exact step v -> sqrt(v^2 - a*v) from ``bracket``,
+    rounded outward; None where it is None or a > lo/2."""
+    lo, hi = bracket or (0.0, 0.0)
+    if not 0.0 < 0.5 * lo >= a * _UP:
+        return None
+    return (math.sqrt(lo * (lo - a * _UP)) * _DOWN,
+            math.sqrt(hi * (hi - a * _DOWN)) * _UP)
+
+
+def _advance(bracket: tuple[float, float] | None, j: int,
+             sums: tuple[float, ...]) -> tuple[float, float] | None:
     """A bracket on the voltage after j blocks of steps from a voltage in
-    ``bracket``, or None where the hypotheses below fail.
+    ``bracket``, or None where it is None or the hypotheses below fail.
 
     Each step maps v to sqrt(v^2 - a*v), a >= 0, and every block makes the
     same steps, whose sums ``_sums`` bounds. With x = a/v, the series of
@@ -516,11 +525,10 @@ def _advance(bracket: tuple[float, float], j: int,
     Both summands are convex in p. The midpoint rule bounds the first sum
     from above by its integral from -1/2 to j - 1/2 (Hermite-Hadamard),
     -log1p(-j*s/(c + s/2))/s with c = lo - A; Jensen bounds the second
-    from below by j/(hi - (j-1)*A/4). For j = 1 this is one bracket step
-    per packet, and any j costs the same few operations. Every float
-    operation is rounded outward (``_DOWN``/``_UP``).
+    from below by j/(hi - (j-1)*A/4). Any j costs the same few operations,
+    each rounded outward (``_DOWN``/``_UP``).
     """
-    lo, hi = bracket
+    lo, hi = bracket or (0.0, 0.0)
     a_hi, a2_hi, a_lo, a2_lo = sums
     low_end = (lo - j * a_hi) * _DOWN
     if not 0.0 < 0.5 * lo <= low_end:
@@ -528,7 +536,7 @@ def _advance(bracket: tuple[float, float], j: int,
     s = (0.5 * a_hi + a2_hi / (8.0 * low_end)) * _UP
     c = (lo - a_hi) * _DOWN
     r = j * s / ((c + 0.5 * s) * _DOWN) * _UP
-    if not r < 1.0:
+    if not 0.0 < r < 1.0:
         return None
     lo = (lo - (0.5 * j * a_hi - a2_hi / (8.0 * s) * math.log1p(-r)) * _UP
           ) * _DOWN
@@ -537,9 +545,8 @@ def _advance(bracket: tuple[float, float], j: int,
     return lo, hi
 
 
-# Per test: the packet k that ends the burst, a bracket on the voltage the
-# planner tests after that burst, and a function giving one without the
-# gap before packet k, or None.
+# Per test: the packet k that ends a burst, a bracket on the voltage tested
+# after it, and a function giving one without the gap before k, or None.
 _Tests = Iterator[tuple[int, tuple[float, float],
                         "Callable[[], tuple[float, float] | None] | None"]]
 
@@ -555,13 +562,14 @@ def _search(profile: DeviceProfile, w0: float, c2: float, msdu_octets: int,
     b and a = c2*k for a lump of k*v joules (``wakeup_energy``,
     ``interpacket_overhead`` and ``sleep_energy`` are linear in v). The
     search brackets the voltage after the frame of the last packet k it
-    proved; a jump of j packets (gap and frame each) is one ``_advance``,
-    and burst k + j is tested after its sleep ramp, j <= ``cap_n`` - k. j
-    doubles after a burst that holds (lo >= ``v_cutoff``) and halves after
-    one that does not or breaks the hypotheses. The search yields each
-    burst that holds and each j = 1 test, with a function that tests it
-    without the gap before packet k + 1, and ends after a j = 1 test that
-    does not hold or whose hypotheses fail: O(log N) bracket steps.
+    proved. The wake-up, the sleep ramp and a lone packet's gap are exact
+    ``_lump`` steps; a frame, or a jump of j > 1 packets with their gaps,
+    is one ``_advance``. j <= ``cap_n`` - k doubles after a burst k + j
+    that holds (lo >= ``v_cutoff``) and halves after one that does not or
+    breaks the hypotheses. The search yields each burst that holds and
+    each j = 1 test, with a function that tests it without the gap before
+    packet k + 1, and ends after a j = 1 test that does not hold or whose
+    hypotheses fail: O(log N) bracket steps.
 
     The walk's float totals t^ stay near the real totals T of that
     recursion. Per withdrawal, the float step is the real step at t^ plus
@@ -585,25 +593,18 @@ def _search(profile: DeviceProfile, w0: float, c2: float, msdu_octets: int,
     fewer withdrawals: its allowance is at most the tested one, and its
     float voltage is at least the tested burst's widened lo.
     """
-    (preamble_bits, preamble_charge), (body_bits, body_charge) = runs
-    bits = ((preamble_bits, c2 * preamble_charge),
-            (body_bits, c2 * body_charge))
-    wake, gap, sleep = ((1, c2 * joules * 1e-6) for joules in (
+    bits = [(n_bits, c2 * charge) for n_bits, charge in runs]
+    wake, gap, sleep = (c2 * joules * 1e-6 for joules in (
         wakeup_energy(profile, 1.0, msdu_octets),
         interpacket_overhead(profile, 1.0, current_ma),
         sleep_energy(profile, 1.0, current_ma)))
-    frame, packet, sleep = _sums(*bits), _sums(gap, *bits), _sums(sleep)
+    frame, packet = _sums(*bits), _sums((1, gap), *bits)
     # Burst k withdraws k * per_packet + 1 times: wake-up, frames, gaps, sleep.
-    per_packet = preamble_bits + body_bits + 1
+    per_packet = sum(n_bits for n_bits, _ in runs) + 1
 
-    def tested(bracket, k, *blocks):
-        """Burst k's bracket after ``blocks`` and the sleep ramp, widened by
-        the allowance."""
-        for sums in (*blocks, sleep):
-            bracket = bracket and _advance(bracket, 1, sums)
-        if bracket is None:
-            return None
-        lo, hi = bracket
+    def tested(bracket, k):
+        """Burst k's bracket after the sleep ramp, widened by the allowance."""
+        lo, hi = _lump(bracket, sleep) or (0.0, 0.0)
         lo2 = lo * lo
         if not lo2 > 0.0:
             return None
@@ -613,12 +614,13 @@ def _search(profile: DeviceProfile, w0: float, c2: float, msdu_octets: int,
         return lo - q / lo, hi + q / lo
 
     v_top = math.sqrt(w0)
-    held = _advance((v_top * _DOWN, v_top * _UP), 1, _sums(wake))
+    held = _lump((v_top * _DOWN, v_top * _UP), wake)
     k, j = 0, 1
     while held is not None and k < cap_n:
         j = min(j, cap_n - k)
-        # Packet 1 follows the wake-up, with no gap before it.
-        post = _advance(held, j, packet if k else frame)
+        # A lone packet's gap is one exact step; packet 1 follows the wake-up.
+        post = (_advance(held, j, packet) if j > 1 else
+                _advance(_lump(held, gap) if k else held, 1, frame))
         test = tested(post, k + j)
         holds = test is not None and test[0] >= v_cutoff
         if j > 1 and not holds:
@@ -626,8 +628,8 @@ def _search(profile: DeviceProfile, w0: float, c2: float, msdu_octets: int,
             continue
         if test is None:
             return
-        yield k + j, test, None if j > 1 else partial(tested, held, k + 1,
-                                                       frame)
+        yield k + j, test, None if j > 1 else partial(
+            tested, _advance(held, 1, frame), k + 1)
         if not holds:
             return
         k, j, held = k + j, 2 * j, post
