@@ -9,7 +9,9 @@ and how many packets fit into one duty cycle.
 from .burst import (BurstReport, FrameBreakdown, PacketLedger,
                     bit_energy_closed_form, bit_energy_oracle, burst_energy,
                     first_bit_energy, protocol_overhead, segment_energy)
-from .device import DeviceProfile, EscState, FrameLayout, PacketPlan
+from .device import (DeviceProfile, EscState, FrameLayout, PacketPlan,
+                     PacketTiming, interpacket_overhead, packet_airtime,
+                     sleep_energy, wakeup_energy, wakeup_time)
 from .errors import (BrownoutWarning, EscDepletedError, FitError,
                      RfBudgetError, TraceParseError, UnreachableVoltageError)
 from .fileio import (RunConfig, load_calibration, load_config, load_ocv_table,
@@ -17,8 +19,6 @@ from .fileio import (RunConfig, load_calibration, load_config, load_ocv_table,
 from .harvest import (ChargeModel, OcvTable, VoltageSample, charge_voltage,
                       fit_charge_model, fit_r_known_voc, prediction_error,
                       stored_energy, time_to_voltage)
-from .packet import (PacketTiming, interpacket_overhead, packet_airtime,
-                     sleep_energy, wakeup_energy, wakeup_time)
 from .planner import CyclePlan, cycle_report, max_packets, recharge_plan
 from .radiopower import (CalibrationPoint, SigmoidCoefficients,
                          current_from_tx_power, fit_sigmoid, system_power,

@@ -30,9 +30,9 @@ from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 from .device import (DeviceProfile, EscState, FrameLayout, PacketPlan,
-                     count, finite)
+                     count, finite, interpacket_overhead, sleep_energy,
+                     wakeup_energy)
 from .errors import BrownoutWarning, EscDepletedError
-from .packet import interpacket_overhead, sleep_energy, wakeup_energy
 from .radiopower import current_from_tx_power
 
 DEFAULT_BROWNOUT_V = 1.8
@@ -730,9 +730,9 @@ def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
        with the cutoff), or the bracket's hypotheses fail: a nearly empty
        store, or one packet that draws more than a quarter of the voltage.
 
-    No burst of more than ``MAX_BURST_BITS`` bits is considered: when
-    every burst up to that limit holds and ``cap_n`` lies beyond it, a
-    ValueError names the limit.
+    No burst of more than ``MAX_BURST_BITS`` bits is considered: a frame
+    longer than that limit, or a ``cap_n`` beyond it when every burst up
+    to it holds, is a ValueError that names the limit.
     """
     count("cap_n", cap_n, ge=1)
     # No burst raises the voltage, so a store below the cutoff, or an empty
@@ -747,11 +747,14 @@ def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
     # with the floats of three.
     runs = _runs(layout, template.msdu_octets, template.data_rate, current_ma)
     frame_bits = layout.frame_bits(template.msdu_octets)
+    if frame_bits > MAX_BURST_BITS:
+        raise ValueError(
+            f"a frame of {frame_bits} bits is longer than the planner's limit "
+            f"of MAX_BURST_BITS = {MAX_BURST_BITS} bits per burst")
     cap = min(cap_n, MAX_BURST_BITS // frame_bits)
-    n = cap and _settle(_search(profile, drain._w0, drain._c2,
-                                template.msdu_octets, current_ma, runs,
-                                v_cutoff, cap),
-                        v_cutoff, cap, include_final_gap)
+    n = _settle(_search(profile, drain._w0, drain._c2, template.msdu_octets,
+                        current_ma, runs, v_cutoff, cap),
+                v_cutoff, cap, include_final_gap)
     if n is None:
         n = _settle(_walk(drain, profile, template.msdu_octets, current_ma,
                           runs), v_cutoff, cap, include_final_gap)

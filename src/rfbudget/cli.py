@@ -15,15 +15,15 @@ import warnings
 from dataclasses import astuple, replace
 
 from .burst import DEFAULT_BROWNOUT_V, burst_energy
-from .device import DeviceProfile, EscState, PacketPlan, count, finite
+from .device import (DeviceProfile, EscState, PacketPlan, count, finite,
+                     interpacket_overhead, packet_airtime, sleep_energy,
+                     wakeup_energy, wakeup_time)
 from .errors import RfBudgetError
 from .fileio import (RunConfig, load_calibration, load_config,
                      load_ocv_table, load_plan, load_voltage_trace,
                      render_record_csv, render_record_json, write_table)
 from .harvest import (ChargeModel, charge_voltage, fit_charge_model,
                       fit_r_known_voc, prediction_error)
-from .packet import (interpacket_overhead, packet_airtime, sleep_energy,
-                     wakeup_energy, wakeup_time)
 from .planner import cycle_report
 from .radiopower import (current_from_tx_power, fit_sigmoid, system_power,
                          tx_power_from_current)

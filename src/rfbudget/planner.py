@@ -9,9 +9,9 @@ not a throughput-optimal scheduler.
 from dataclasses import dataclass
 
 from .burst import BurstReport, burst_energy, DEFAULT_BROWNOUT_V, max_packets
-from .device import DeviceProfile, EscState, FrameLayout, PacketPlan, finite
+from .device import (DeviceProfile, EscState, FrameLayout, PacketPlan, finite,
+                     packet_airtime, wakeup_time)
 from .harvest import ChargeModel, time_to_voltage
-from .packet import packet_airtime, wakeup_time
 
 
 @dataclass(frozen=True)

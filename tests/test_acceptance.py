@@ -244,7 +244,7 @@ def test_criterion_08_cumulative_shape():
     assert checked == 50
 
 
-@criterion(9, "planner binary search equals linear scan")
+@criterion(9, "max_packets equals a linear scan of bursts")
 def test_criterion_09_planner_self_consistency():
     rng = np.random.default_rng(9)
     cap_n = 8

@@ -19,8 +19,6 @@ from rfbudget.burst import _Drain
 from conftest import (ALPHA1, ALPHA2, ALPHA3, ALPHA4, REF_CAP_F,
                       REF_CURRENT_MA, REF_RATE_BPS, REF_TX_DBM, REF_V0)
 
-FULL_FRAME_BITS = 48 + 8 * (19 + 106 + 2)  # 1064 for a full payload
-
 
 def ref_plan(msdu=106, rate=REF_RATE_BPS):
     return PacketPlan(msdu_octets=msdu, tx_power=REF_TX_DBM, data_rate=rate)

@@ -2,7 +2,9 @@ import dataclasses
 
 import pytest
 
-from rfbudget import DeviceProfile, EscState, FrameLayout, PacketPlan
+from rfbudget import (DeviceProfile, EscState, FrameLayout, PacketPlan,
+                      burst_energy, max_packets, packet_airtime,
+                      protocol_overhead)
 
 
 def test_frame_layout_default_overheads(layout):
@@ -17,6 +19,30 @@ def test_frame_layout_rejects_bad_values():
         FrameLayout(shr_octets=-1)
     with pytest.raises(ValueError):
         FrameLayout(preamble_rate=0.0)
+
+
+NO_OVERHEAD = FrameLayout(shr_octets=0, phr_octets=0, mhr_octets=0,
+                          fcs_octets=0)
+STORE = EscState(capacitance=2.2e-3, voltage=3.3)
+
+
+@pytest.mark.parametrize("send", [
+    lambda profile, m: packet_airtime(NO_OVERHEAD, m, 250e3),
+    lambda profile, m: protocol_overhead(NO_OVERHEAD, m, 10.0, 250e3, 3.3,
+                                         2.2e-3),
+    lambda profile, m: burst_energy([PacketPlan(m, 0.0, 250e3)], STORE,
+                                    profile, NO_OVERHEAD),
+    lambda profile, m: max_packets(STORE, 1.8, PacketPlan(m, 0.0, 250e3),
+                                   profile, NO_OVERHEAD, 64),
+], ids=["packet_airtime", "protocol_overhead", "burst_energy", "max_packets"])
+def test_a_payload_that_leaves_a_frame_of_no_bits_is_refused(sig_profile,
+                                                             send):
+    # With no overhead octets an empty payload sends nothing, and the
+    # airtime and the planner's limit would divide by its length.
+    with pytest.raises(ValueError, match="msdu_octets 0 leaves a frame of "
+                                         "no bits"):
+        send(sig_profile, 0)
+    send(sig_profile, 1)
 
 
 def test_device_profile_defaults(profile):

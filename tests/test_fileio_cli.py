@@ -553,6 +553,29 @@ def test_cli_simulate_burst_requires_store_parameters(tmp_path, capsys):
     assert "--capacitance-f" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["packet-cost", "--msdu-octets", "0", "--data-rate-bps", "250000",
+     "--vcc-v", "2.5", "--current-ma", "10"],
+    ["plan-cycle", "--v-oc", "3.6", "--r-ohm", "800", "--cutoff-v", "1.8",
+     "--capacitance-f", "0.0022", "--initial-v", "3.3", "--msdu-octets", "0",
+     "--tx-power-dbm", "0", "--data-rate-bps", "250000", "--cap-n", "64"],
+    ["simulate-burst", "--plan", "plan.csv", "--capacitance-f", "0.0022",
+     "--initial-v", "3.3"],
+], ids=["packet-cost", "plan-cycle", "simulate-burst"])
+def test_cli_refuses_a_frame_of_no_bits_in_one_error_line(tmp_path, capsys,
+                                                          monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    sigmoid_config(tmp_path, frame={
+        "shr_octets": 0, "phr_octets": 0, "mhr_octets": 0, "fcs_octets": 0})
+    plan_file(tmp_path, [(0, 0.0, 250000)])
+    status, out, err = run_cli(capsys, [*argv, "--config", "config.json"])
+    assert status == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "msdu_octets 0 leaves a frame of no bits" in err
+
+
 def test_cli_plan_cycle(tmp_path, capsys):
     config = sigmoid_config(tmp_path)
     status, out, err = run_cli(capsys, [

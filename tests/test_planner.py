@@ -132,6 +132,42 @@ def test_cli_plan_cycle_ends_a_huge_cap_in_one_error_line(tmp_path, capsys):
     assert "MAX_BURST_BITS" in err
 
 
+# 8 * 2**27 MHR bits alone fill the limit, so a 20-octet frame exceeds it.
+LONG_FRAME = FrameLayout(mhr_octets=2**27)
+
+
+def test_max_packets_refuses_a_frame_longer_than_the_limit(sig_profile):
+    plan = PacketPlan(20, 0.0, 250e3)
+    with drained_bits() as bits, pytest.raises(
+            ValueError, match="a frame of 1073742048 bits .* MAX_BURST_BITS "
+                              "= 1073741824 bits"):
+        max_packets(EscState(2.2e-3, 3.3), 1.8, plan, sig_profile,
+                    LONG_FRAME, 64)
+    assert bits == []
+    # A store below the cutoff holds no packet, whatever its frame.
+    assert max_packets(EscState(2.2e-3, 1.5), 1.8, plan, sig_profile,
+                       LONG_FRAME, 64) == 0
+
+
+def test_cli_plan_cycle_refuses_a_frame_longer_than_the_limit(tmp_path,
+                                                              capsys):
+    config = tmp_path / "long.json"
+    config.write_text(json.dumps({"device": {
+        "alpha1_dbm": ALPHA1, "alpha2_dbm": ALPHA2, "alpha3_per_ma": ALPHA3,
+        "alpha4_ma": ALPHA4}, "frame": {"mhr_octets": 2**27}}))
+    status = rfbudget.cli.main([
+        "plan-cycle", "--config", str(config), "--capacitance-f", "0.0022",
+        "--initial-v", "3.3", "--v-oc", "3.6", "--r-ohm", "800",
+        "--cutoff-v", "1.8", "--msdu-octets", "20", "--tx-power-dbm", "0",
+        "--data-rate-bps", "250000", "--cap-n", "64"])
+    out, err = capsys.readouterr()
+    assert status == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: a frame of 1073742048 bits ")
+    assert "MAX_BURST_BITS" in err
+
+
 def test_max_packets_reference_scenario(sig_profile, layout):
     initial = EscState(capacitance=REF_CAP_F, voltage=REF_V0)
     got = max_packets(initial, 1.8, template(), sig_profile, layout, 16)
@@ -328,24 +364,15 @@ def test_max_packets_equals_linear_scan_at_the_cap(kind, cap_exp, v0, msdu,
 
 
 class Recording(rfbudget.burst._Drain):
-    """A full store that records the bits of each ``drain_bits`` call and
-    every withdrawal total it reaches, bit by bit."""
+    """A full store that records the bits of each ``drain_bits`` call."""
 
     def __init__(self, initial):
         super().__init__(initial.voltage, initial.capacitance)
-        self.bits, self.totals = [], []
-
-    def withdraw(self, energy_joules, **kwargs):
-        super().withdraw(energy_joules, **kwargs)
-        self.totals.append(self.total_joules)
+        self.bits = []
 
     def drain_bits(self, n_bits, charge_per_bit, **kwargs):
         self.bits.append(n_bits)
-        start = self.total_joules
-        energy = super().drain_bits(n_bits, charge_per_bit, **kwargs)
-        self.totals.extend(rfbudget.burst._steps(self._w0, self._c2, start,
-                                                 n_bits, charge_per_bit))
-        return energy
+        return super().drain_bits(n_bits, charge_per_bit, **kwargs)
 
 
 def walk(initial, plan, profile, layout, drain=None):
