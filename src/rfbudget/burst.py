@@ -24,21 +24,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property, partial
 from itertools import repeat
-from typing import Callable, Iterator, Sequence
 
 from .device import (DeviceProfile, EscState, FrameLayout, PacketPlan,
-                     count, finite, interpacket_overhead, sleep_energy,
-                     wakeup_energy)
+                     count, finite, interpacket_overhead, record,
+                     sleep_energy, wakeup_energy)
 from .errors import BrownoutWarning, EscDepletedError
 from .radiopower import current_from_tx_power
 
 DEFAULT_BROWNOUT_V = 1.8
 
 
-@dataclass(frozen=True)
+@record
 class FrameBreakdown:
     """Energy ledger of one frame, split at the protocol segment
     boundaries, with the store voltage after each segment."""
@@ -62,7 +61,7 @@ class FrameBreakdown:
         return self.e_phy_uj + self.e_mhr_uj + self.e_msdu_uj + self.e_fcs_uj
 
 
-@dataclass(frozen=True)
+@record
 class PacketLedger:
     """Per-packet entry of a burst report.
 
@@ -82,7 +81,7 @@ class PacketLedger:
     sleep_energy_uj: float = 0.0
 
 
-@dataclass(frozen=True, repr=False)
+@record
 class BurstReport:
     """Full ledger of one burst (wake-up, N packets, sleep).
 
@@ -106,15 +105,15 @@ class BurstReport:
 
     total_energy_uj: float
     final_state: EscState
-    # Rows of (plan, supply current mA, _frame_cascade totals J, gap uJ,
-    # sleep uJ); with v0^2, 2/C and the wake-up energy (uJ) they give
-    # every ledger float, and with the layout every sample.
-    _rows: tuple[tuple, ...]
-    _w0: float
-    _c2: float
-    _wake_uj: float
-    _layout: FrameLayout
-    _samples: bool
+    # Private fields. Rows of (plan, supply current mA, _frame_cascade totals
+    # J, gap uJ, sleep uJ); with v0^2, 2/C and the wake-up energy (uJ) they
+    # give every ledger float, and with the layout every sample.
+    rows_: tuple[tuple, ...]
+    w0_: float
+    c2_: float
+    wake_uj_: float
+    layout_: FrameLayout
+    samples_: bool
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(packets={self.packets!r}, "
@@ -123,24 +122,24 @@ class BurstReport:
 
     @cached_property
     def packets(self) -> tuple[PacketLedger, ...]:
-        w0, c2 = self._w0, self._c2
+        w0, c2 = self.w0_, self.c2_
         return tuple(
             PacketLedger(
                 index=j, plan=plan, supply_current_ma=current_ma,
                 v_start=math.sqrt(w0 - c2 * totals[0]),
                 frame=_breakdown(w0, c2, totals),
-                wake_energy_uj=self._wake_uj if j == 1 else 0.0,
+                wake_energy_uj=self.wake_uj_ if j == 1 else 0.0,
                 interpacket_energy_uj=gap_uj, sleep_energy_uj=sleep_uj)
             for j, (plan, current_ma, totals, gap_uj, sleep_uj)
-            in enumerate(self._rows, 1))
+            in enumerate(self.rows_, 1))
 
     def sample_rows(self) -> Iterator[tuple[int, int, float]]:
         """(packet, bit, running total in uJ) for every transmitted bit."""
-        if not self._samples:
+        if not self.samples_:
             return
-        w0, c2 = self._w0, self._c2
-        for packet, (plan, current_ma, totals, *_) in enumerate(self._rows, 1):
-            runs = _runs(self._layout, plan.msdu_octets, plan.data_rate,
+        w0, c2 = self.w0_, self.c2_
+        for packet, (plan, current_ma, totals, *_) in enumerate(self.rows_, 1):
+            runs = _runs(self.layout_, plan.msdu_octets, plan.data_rate,
                          current_ma)
             bit = 0
             # The preamble replays from the frame's start, the rest from
@@ -398,10 +397,13 @@ def _supply_currents(plans: Sequence[PacketPlan], profile: DeviceProfile,
                      layout: FrameLayout) -> list[float]:
     """Check a burst's inputs; the supply current (mA) of each packet.
 
-    Each distinct transmit power is converted once, in order of first use,
-    so the first packet whose power is unattainable raises."""
+    Each distinct payload and transmit power is checked once, in order of
+    first use, so the first packet with a bad one raises."""
+    firsts = {}
     for k, plan in enumerate(plans, 1):
-        layout.check_payload(f"packet {k}: msdu_octets", plan.msdu_octets)
+        firsts.setdefault(plan.msdu_octets, k)
+    for msdu, k in firsts.items():
+        layout.check_payload(f"packet {k}: msdu_octets", msdu)
     by_power = {power: current_from_tx_power(profile, power)
                 for power in dict.fromkeys(plan.tx_power for plan in plans)}
     return [by_power[plan.tx_power] for plan in plans]
@@ -469,8 +471,8 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
     return BurstReport(
         total_energy_uj=drain.total_joules * 1e6,
         final_state=EscState(initial.capacitance, drain.voltage),
-        _rows=tuple(rows), _w0=drain._w0, _c2=drain._c2, _wake_uj=wake_uj,
-        _layout=layout, _samples=record_samples)
+        rows_=tuple(rows), w0_=drain._w0, c2_=drain._c2, wake_uj_=wake_uj,
+        layout_=layout, samples_=record_samples)
 
 
 # The planner considers no burst of more bits: about 77 s of drain at

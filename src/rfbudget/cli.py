@@ -12,7 +12,6 @@ usage errors.
 import argparse
 import sys
 import warnings
-from dataclasses import astuple, replace
 
 from .burst import DEFAULT_BROWNOUT_V, burst_energy
 from .device import (DeviceProfile, EscState, PacketPlan, count, finite,
@@ -36,8 +35,8 @@ def _store_from_args(args, config: RunConfig) -> tuple[RunConfig, EscState]:
              "initial_voltage_v": args.initial_v,
              "brownout_v": args.brownout_v,
              "include_final_gap": False if args.no_final_gap_overhead else None}
-    config = replace(config, **{key: value for key, value in flags.items()
-                                if value is not None})
+    config = config._replace(**{key: value for key, value in flags.items()
+                                  if value is not None})
     for flag, key in (("--capacitance-f", "capacitance_f"),
                       ("--initial-v", "initial_voltage_v")):
         if getattr(config, key) is None:
@@ -148,10 +147,9 @@ def cmd_simulate_burst(args, config: RunConfig) -> dict:
                   "e_msdu_uj", "e_fcs_uj", "v_after_phy_v", "v_after_mhr_v",
                   "v_after_msdu_v", "v_after_fcs_v", "wake_uj",
                   "interpacket_uj", "sleep_uj")
-        rows = [(p.index, p.plan.msdu_octets, p.plan.tx_power,
-                 p.plan.data_rate, p.supply_current_ma, p.v_start,
-                 *astuple(p.frame), p.wake_energy_uj,
-                 p.interpacket_energy_uj, p.sleep_energy_uj)
+        rows = [(p.index, *p.plan, p.supply_current_ma, p.v_start,
+                 *p.frame, p.wake_energy_uj, p.interpacket_energy_uj,
+                 p.sleep_energy_uj)
                 for p in report.packets]
         write_table(args.packets_csv, header, rows)
     if args.samples_csv:

@@ -1,11 +1,11 @@
 """Device, frame, store, and plan records, and the single-packet formulas
 that read them.
 
-All records are frozen dataclasses: construct once, share freely across
-threads. Units follow datasheet conventions (times in ms, currents in mA,
-capacitance in farads, voltages in volts, rates in bit/s), so (V, mA, ms)
-multiply directly to microjoules and each formula is a one-line
-transcription of the measured behaviour.
+All records are frozen named tuples (see ``record``): construct once,
+share freely across threads. Units follow datasheet conventions (times
+in ms, currents in mA, capacitance in farads, voltages in volts, rates in
+bit/s), so (V, mA, ms) multiply directly to microjoules and each formula
+is a one-line transcription of the measured behaviour.
 
 The three energy terms here (wake-up, sleep, transceiver off/on switch)
 are lump sums evaluated at the supply voltage at the start of the
@@ -14,7 +14,8 @@ interval; the voltage droop within such a short interval is neglected.
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import cached_property
 
 
 def finite(name: str, value, *, gt=None, ge=None):
@@ -47,7 +48,24 @@ def count(name: str, value, *, ge=0) -> int:
     return finite(name, value, ge=ge)
 
 
-@dataclass(frozen=True)
+def record(cls):
+    """``cls`` as a frozen named tuple, checked by ``__post_init__``."""
+    body = {key: value for key, value in vars(cls).items()
+            if key not in ("__dict__", "__weakref__")}
+    if not any(isinstance(value, cached_property) for value in body.values()):
+        body["__slots__"] = ()  # no new attributes, unless a cache needs them
+    base = namedtuple(cls.__name__, cls.__annotations__, defaults=[
+        body.pop(name) for name in cls.__annotations__ if name in body])
+    return type(cls.__name__, (base,), {
+        "__post_init__": lambda self: None,
+        "__init__": lambda self, *args, **kwargs: self.__post_init__(),
+        "_make": classmethod(lambda kind, values: kind(*values)),
+        "__reduce__": lambda self: (type(self), tuple(self)),
+        "__eq__": lambda a, b: type(a) is type(b) and tuple.__eq__(a, b),
+        "__ne__": object.__ne__, "__hash__": tuple.__hash__, **body})
+
+
+@record
 class DeviceProfile:
     """Per-device constants of the power model.
 
@@ -74,10 +92,8 @@ class DeviceProfile:
     txrx_on_current: float = 10.25   # mA while re-enabling
 
     def __post_init__(self):
-        for name in ("wake_slope", "wake_intercept", "wake_current",
-                     "sleep_time", "txrx_off_current", "txrx_on_time",
-                     "txrx_off_time", "txrx_on_current"):
-            finite(name, getattr(self, name), ge=0)
+        for name, value in zip(self._fields[4:], self[4:]):  # past the alphas
+            finite(name, value, ge=0)
         alphas = (self.alpha1, self.alpha2, self.alpha3, self.alpha4)
         provided = [a is not None for a in alphas]
         for i, a in enumerate(alphas, start=1):
@@ -99,7 +115,7 @@ class DeviceProfile:
         return (self.alpha1, self.alpha2, self.alpha3, self.alpha4)
 
 
-@dataclass(frozen=True)
+@record
 class FrameLayout:
     """IEEE 802.15.4 frame segment lengths (octets) and the preamble rate.
 
@@ -117,9 +133,8 @@ class FrameLayout:
     preamble_rate: float = 250_000.0  # bit/s, fixed by the standard
 
     def __post_init__(self):
-        for name in ("shr_octets", "phr_octets", "mhr_octets", "fcs_octets",
-                     "max_msdu_octets"):
-            count(name, getattr(self, name))
+        for name, value in zip(self._fields, self[:5]):  # the octet counts
+            count(name, value)
         finite("preamble_rate", self.preamble_rate, gt=0)
 
     @property
@@ -146,7 +161,7 @@ class FrameLayout:
         return self.preamble_bits + 8 * (self.mhr_octets + msdu_octets + self.fcs_octets)
 
 
-@dataclass(frozen=True)
+@record
 class PacketTiming:
     """Timing of one packet transmission. Times in ms.
 
@@ -218,7 +233,7 @@ def interpacket_overhead(profile: DeviceProfile, v_end: float,
     return off + on
 
 
-@dataclass(frozen=True)
+@record
 class EscState:
     """Energy storage component state: capacitance (F) and voltage (V)."""
 
@@ -230,7 +245,7 @@ class EscState:
         finite("voltage", self.voltage, ge=0)
 
 
-@dataclass(frozen=True)
+@record
 class PacketPlan:
     """One packet of a burst: payload size, transmit power, data rate."""
 

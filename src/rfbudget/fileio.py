@@ -16,12 +16,11 @@ output.
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from .burst import DEFAULT_BROWNOUT_V
-from .device import DeviceProfile, FrameLayout, PacketPlan, finite
+from .device import DeviceProfile, FrameLayout, PacketPlan, finite, record
 from .errors import TraceParseError
 from .harvest import OcvTable, VoltageSample
 from .radiopower import CalibrationPoint
@@ -129,14 +128,14 @@ def load_plan(path) -> list[PacketPlan]:
     return _load(path, PLAN_HEADER, plan)
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     """Resolved run configuration: device, frame, OCV table, mode flags.
     ``RunConfig()`` is the built-in default: no store, final gap counted."""
 
-    profile: DeviceProfile = field(default_factory=DeviceProfile)
-    layout: FrameLayout = field(default_factory=FrameLayout)
-    ocv_table: OcvTable = field(default_factory=OcvTable.p2110)
+    profile: DeviceProfile = DeviceProfile()
+    layout: FrameLayout = FrameLayout()
+    ocv_table: OcvTable = OcvTable.p2110()
     capacitance_f: float | None = None
     initial_voltage_v: float | None = None
     brownout_v: float | None = DEFAULT_BROWNOUT_V

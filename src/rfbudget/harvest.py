@@ -15,11 +15,10 @@ varies strongly with incident RF power; ``OcvTable`` interpolates measured
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from operator import itemgetter
-from typing import Iterable, Sequence
 
-from .device import EscState, finite
+from .device import EscState, finite, record
 from .errors import FitError, UnreachableVoltageError
 from .lsq import least_squares
 
@@ -27,7 +26,7 @@ from .lsq import least_squares
 MAX_PHYSICAL_VOC = 10.0
 
 
-@dataclass(frozen=True)
+@record
 class ChargeModel:
     """Fitted charging curve: open-circuit voltage (V), equivalent
     impedance (ohm), and capacitance (F)."""
@@ -48,7 +47,7 @@ class ChargeModel:
         return self.r_eq * self.capacitance
 
 
-@dataclass(frozen=True)
+@record
 class VoltageSample:
     """One ESC voltage measurement: time since charge start (s), volts."""
 

@@ -6,15 +6,13 @@ long the recharge phase takes to climb back. This is a feasibility search,
 not a throughput-optimal scheduler.
 """
 
-from dataclasses import dataclass
-
 from .burst import BurstReport, burst_energy, DEFAULT_BROWNOUT_V, max_packets
 from .device import (DeviceProfile, EscState, FrameLayout, PacketPlan, finite,
-                     packet_airtime, wakeup_time)
+                     packet_airtime, record, wakeup_time)
 from .harvest import ChargeModel, time_to_voltage
 
 
-@dataclass(frozen=True)
+@record
 class CyclePlan:
     """One duty cycle: burst of ``n_packets`` followed by a recharge.
 

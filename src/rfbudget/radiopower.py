@@ -13,10 +13,9 @@ are fitted from register-sweep calibrations.
 """
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
-from .device import DeviceProfile, finite
+from .device import DeviceProfile, finite, record
 from .errors import FitError
 from .lsq import least_squares
 
@@ -26,7 +25,7 @@ _EXP_CLIP = 700.0
 MONOTONE_TOL_DB = 0.5
 
 
-@dataclass(frozen=True)
+@record
 class CalibrationPoint:
     """One calibration measurement: supply current (mA), transmit power (dBm)."""
 
@@ -38,7 +37,8 @@ class CalibrationPoint:
         finite("tx_power", self.tx_power)
 
 
-class SigmoidCoefficients(NamedTuple):
+@record
+class SigmoidCoefficients:
     alpha1: float  # dBm
     alpha2: float  # dBm
     alpha3: float  # 1/mA

@@ -8,7 +8,6 @@ value is an int is a count. Other arguments (records, sequences, flags)
 are left as they are.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -40,8 +39,8 @@ SAMPLES = [VoltageSample(t, charge_voltage(MODEL, t))
            for t in (0.0, 0.05, 0.1, 0.2, 0.4)]
 POINTS = [CalibrationPoint(c, tx_power_from_current(PROFILE, c))
           for c in (2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0)]
-CONFIG = dataclasses.replace(load_config(), capacitance_f=REF_CAP_F,
-                             initial_voltage_v=REF_V0)
+CONFIG = load_config()._replace(capacitance_f=REF_CAP_F,
+                                initial_voltage_v=REF_V0)
 # One full packet from INITIAL ends below CUTOFF_V, so cycle_report plans
 # no burst; it must still check its brown-out level. BROWNOUT_V is low
 # enough that burst_energy raises no warning.
@@ -52,8 +51,7 @@ RATE = dict(supply_current_ma=REF_CURRENT_MA, data_rate=REF_RATE_BPS)
 
 
 def fields(record) -> dict:
-    return {f.name: getattr(record, f.name)
-            for f in dataclasses.fields(record)}
+    return {name: getattr(record, name) for name in record._fields}
 
 
 def ocv_points(p_dbm, v_oc_v):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -730,9 +729,8 @@ def test_bursts_with_different_ledgers_compare_unequal(sig_profile, layout):
                                   brownout_v=None, record_samples=False)
     # Only the first packet's plan differs: every total and the final
     # state are the same, the ledgers are not.
-    first, second = report._rows
-    other = dataclasses.replace(report,
-                                _rows=((ref_plan(31), *first[1:]), second))
+    first, second = report.rows_
+    other = report._replace(rows_=((ref_plan(31), *first[1:]), second))
     assert other.total_energy_uj == report.total_energy_uj
     assert other.final_state == report.final_state
     assert other.packets != report.packets
@@ -769,6 +767,10 @@ def test_burst_rejects_oversized_payload(sig_profile, layout):
     plan = PacketPlan(msdu_octets=200, tx_power=0.0, data_rate=250e3)
     with pytest.raises(ValueError, match="exceeds"):
         burst_energy([plan], EscState(1e-3, 3.0), sig_profile, layout)
+    # Each payload is checked once; the error names its first packet.
+    plans = [ref_plan(10), ref_plan(10), ref_plan(107), ref_plan(10), plan]
+    with pytest.raises(ValueError, match="^packet 3: msdu_octets 107 exceeds"):
+        burst_energy(plans, EscState(1e-3, 3.0), sig_profile, layout)
 
 
 def test_power_that_needs_a_negative_current_is_rejected(sig_profile, layout):

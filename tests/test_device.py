@@ -1,10 +1,13 @@
-import dataclasses
+import copy
+import pickle
 
 import pytest
 
-from rfbudget import (DeviceProfile, EscState, FrameLayout, PacketPlan,
-                      burst_energy, max_packets, packet_airtime,
-                      protocol_overhead)
+from conftest import ALPHA1, ALPHA2, ALPHA3, ALPHA4
+from rfbudget import (CalibrationPoint, ChargeModel, DeviceProfile, EscState,
+                      FrameLayout, PacketPlan, RunConfig, SigmoidCoefficients,
+                      VoltageSample, burst_energy, cycle_report, max_packets,
+                      packet_airtime, protocol_overhead)
 
 
 def test_frame_layout_default_overheads(layout):
@@ -101,10 +104,12 @@ def test_packet_plan_validation():
 
 
 def test_records_are_immutable(profile, layout):
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         profile.wake_current = 9.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         layout.mhr_octets = 20
+    with pytest.raises(AttributeError):
+        layout.mhr_octet = 20
 
 
 @pytest.mark.parametrize("field", ["shr_octets", "phr_octets", "mhr_octets",
@@ -140,3 +145,69 @@ def test_device_profile_rejects_non_finite_constants():
         DeviceProfile(wake_current=float("nan"))
     with pytest.raises(ValueError, match="alpha1"):
         DeviceProfile(alpha1=float("inf"), alpha2=40.0, alpha3=0.5, alpha4=10.0)
+
+
+def every_kind_of_record():
+    """One record of each kind the package defines."""
+    profile = DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
+                            alpha4=ALPHA4)
+    plan = cycle_report(ChargeModel(3.0, 800.0, 2e-3), EscState(2e-3, 2.5),
+                        1.8, PacketPlan(20, 0.0, 250e3), profile,
+                        FrameLayout(), 3, brownout_v=None)
+    ledger = plan.burst.packets[0]
+    return [profile, FrameLayout(), packet_airtime(FrameLayout(), 20, 250e3),
+            EscState(2e-3, 2.5), ledger.plan, ledger.frame, ledger,
+            plan.burst, plan, ChargeModel(3.0, 800.0, 2e-3),
+            VoltageSample(0.5, 1.0), CalibrationPoint(5.0, 1.0),
+            SigmoidCoefficients(ALPHA1, ALPHA2, ALPHA3, ALPHA4),
+            RunConfig(capacitance_f=2e-3)]
+
+
+def test_replace_and_make_check_the_new_record():
+    with pytest.raises(ValueError, match="voltage"):
+        EscState(2e-3, 2.5)._replace(voltage=float("nan"))
+    # the path that overlays the CLI's store flags on a config
+    with pytest.raises(ValueError, match="initial_voltage_v"):
+        RunConfig()._replace(initial_voltage_v=float("nan"))
+    with pytest.raises(ValueError, match="capacitance"):
+        EscState._make([0.0, 2.5])
+    assert EscState(2e-3, 2.5)._replace(voltage=3.0) == EscState(2e-3, 3.0)
+
+
+def test_copy_and_pickle_give_an_equal_record():
+    for record in every_kind_of_record():
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record)
+            if type(record) is RunConfig:
+                # OcvTable compares by identity, so compare its points.
+                assert twin.ocv_table.points == record.ocv_table.points
+                twin = twin._replace(ocv_table=record.ocv_table)
+            assert twin == record
+
+
+def test_copy_and_pickle_check_the_record_again():
+    # A tuple built around the check, as a corrupted pickle would give.
+    bad = tuple.__new__(EscState, (2e-3, float("nan")))
+    with pytest.raises(ValueError, match="voltage"):
+        copy.copy(bad)
+    with pytest.raises(ValueError, match="voltage"):
+        pickle.loads(pickle.dumps(bad))
+
+
+def test_a_record_equals_only_records_of_its_own_kind():
+    point, sample = CalibrationPoint(5.0, 1.0), VoltageSample(5.0, 1.0)
+    assert tuple(point) == tuple(sample)
+    assert point != sample and not point == sample
+    assert point != (5.0, 1.0) and not (5.0, 1.0) == point
+    assert point == CalibrationPoint(5.0, 1.0)
+    assert not point != CalibrationPoint(5.0, 1.0)
+    assert hash(point) == hash(CalibrationPoint(5.0, 1.0))
+
+
+def test_records_keep_their_named_tuple_api():
+    state = EscState(2e-3, 2.5)
+    assert state._fields == ("capacitance", "voltage")
+    assert state._asdict() == {"capacitance": 2e-3, "voltage": 2.5}
+    assert repr(state) == "EscState(capacitance=0.002, voltage=2.5)"
+    assert FrameLayout._field_defaults["mhr_octets"] == 19

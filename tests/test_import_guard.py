@@ -1,6 +1,7 @@
 """Nothing in the package loads numpy or scipy: no subcommand, and no
 library call either, reading the per-bit samples and the ledger and
-calling ``bit_energy_oracle`` included.
+calling ``bit_energy_oracle`` included. Importing the CLI loads none of
+``dataclasses``, ``inspect`` and ``typing`` either.
 
 Each check runs in a fresh interpreter, because this test session has
 long since imported numpy and scipy through the other tests.
@@ -151,3 +152,15 @@ def test_samples_ledger_and_oracle_load_no_numpy(tmp_path):
     assert result["packets"] == 2
     assert result["oracle"] == ["tuple"] + ["float"] * 4
     assert result["numpy"] is False
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # -S skips ``site``, whose start-up hooks may import typing themselves.
+    code = ("import json, sys, rfbudget.cli; print(json.dumps(sorted("
+            "{'dataclasses', 'inspect', 'typing'} & set(sys.modules))))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
