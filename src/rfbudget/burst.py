@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property, partial
 from itertools import repeat
 
@@ -85,13 +85,12 @@ class PacketLedger:
 class BurstReport:
     """Full ledger of one burst (wake-up, N packets, sleep).
 
-    ``packets`` holds one PacketLedger per packet. The drain records one
-    compact row per packet (its plan and supply current, the withdrawal
-    totals at frame start and after each protocol segment, and its gap and
-    sleep energies); the ledger is built from those rows when first read,
-    with the same floats the drain's own returns and voltages give, so a
-    caller that reads only the totals builds none. Equality compares the
-    rows, and so never builds a ledger.
+    ``packets`` holds one PacketLedger per packet. The report keeps the
+    rows of ``_frames`` (plan, supply current, the lump before the frame,
+    which is the wake-up or the gap after the packet before, and the
+    frame's withdrawal totals) and the sleep ramp, and builds the ledger
+    from them when first read, with the drain's own floats, so a caller
+    that reads only the totals builds none. Equality compares the rows.
 
     ``sample_rows()`` yields one (packet, bit, uJ) tuple per transmitted
     bit: the 1-based packet index, the 1-based bit position within that
@@ -105,13 +104,12 @@ class BurstReport:
 
     total_energy_uj: float
     final_state: EscState
-    # Private fields. Rows of (plan, supply current mA, _frame_cascade totals
-    # J, gap uJ, sleep uJ); with v0^2, 2/C and the wake-up energy (uJ) they
-    # give every ledger float, and with the layout every sample.
+    # Private: the rows (currents mA, lumps uJ, totals J), v0^2, 2/C, the
+    # sleep ramp (uJ), and the layout the samples are replayed with.
     rows_: tuple[tuple, ...]
     w0_: float
     c2_: float
-    wake_uj_: float
+    sleep_uj_: float
     layout_: FrameLayout
     samples_: bool
 
@@ -122,23 +120,22 @@ class BurstReport:
 
     @cached_property
     def packets(self) -> tuple[PacketLedger, ...]:
-        w0, c2 = self.w0_, self.c2_
+        w0, c2, rows = self.w0_, self.c2_, self.rows_
+        # Row j + 1's lump is the gap after packet j; the last has none.
+        gaps = [lump for _, _, lump, _ in rows[1:]] + [0.0]
         return tuple(
-            PacketLedger(
-                index=j, plan=plan, supply_current_ma=current_ma,
-                v_start=math.sqrt(w0 - c2 * totals[0]),
-                frame=_breakdown(w0, c2, totals),
-                wake_energy_uj=self.wake_uj_ if j == 1 else 0.0,
-                interpacket_energy_uj=gap_uj, sleep_energy_uj=sleep_uj)
-            for j, (plan, current_ma, totals, gap_uj, sleep_uj)
-            in enumerate(self.rows_, 1))
+            PacketLedger(j, plan, current_ma, math.sqrt(w0 - c2 * totals[0]),
+                         _breakdown(w0, c2, totals), lump if j == 1 else 0.0,
+                         gap, self.sleep_uj_ if j == len(rows) else 0.0)
+            for j, ((plan, current_ma, lump, totals), gap)
+            in enumerate(zip(rows, gaps), 1))
 
     def sample_rows(self) -> Iterator[tuple[int, int, float]]:
         """(packet, bit, running total in uJ) for every transmitted bit."""
         if not self.samples_:
             return
         w0, c2 = self.w0_, self.c2_
-        for packet, (plan, current_ma, totals, *_) in enumerate(self.rows_, 1):
+        for packet, (plan, current_ma, _, totals) in enumerate(self.rows_, 1):
             runs = _runs(self.layout_, plan.msdu_octets, plan.data_rate,
                          current_ma)
             bit = 0
@@ -409,6 +406,28 @@ def _supply_currents(plans: Sequence[PacketPlan], profile: DeviceProfile,
     return [by_power[plan.tx_power] for plan in plans]
 
 
+def _frames(drain: _Drain, plans: Iterable[PacketPlan],
+            currents: Iterable[float], profile: DeviceProfile,
+            layout: FrameLayout, skip: int = 0) -> Iterator[tuple]:
+    """A burst's withdrawals up to each frame's end, for ``burst_energy``
+    and the planner's walk. Per packet j: the lump before its frame (the
+    wake-up, sized by packet 1's payload, else the off/on gap after packet
+    j - 1 at that packet's current, 0 for packet ``skip``), then its frame
+    cascade; then the row (plan, current mA, lump uJ, cascade totals J)."""
+    for j, (plan, current_ma) in enumerate(zip(plans, currents), 1):
+        if j == 1:
+            lump = wakeup_energy(profile, drain.voltage, plan.msdu_octets)
+            drain.withdraw(lump * 1e-6, packet=1, segment="wake-up")
+        else:
+            lump = 0.0 if j == skip else interpacket_overhead(
+                profile, drain.voltage, gap_ma)
+            drain.withdraw(lump * 1e-6, packet=j - 1, segment="inter-packet")
+        totals = _frame_cascade(drain, layout, plan.msdu_octets, current_ma,
+                                plan.data_rate, packet=j)
+        gap_ma = current_ma
+        yield plan, current_ma, lump, totals
+
+
 def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
                  profile: DeviceProfile, layout: FrameLayout, *,
                  include_final_gap: bool = True,
@@ -416,13 +435,12 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
                  record_samples: bool = True) -> BurstReport:
     """Simulate one active cycle: wake-up, N packets, return to sleep.
 
-    The sequence of withdrawals is: the wake-up lump (evaluated at the
-    initial voltage, sized by the first packet's payload); per packet, the
+    The withdrawals are ``_frames``' pass, then the sleep ramp: the wake-up
+    lump (sized by the first packet's payload); per packet, the
     four-segment frame cascade at the supply current implied by its
-    transmit power; after every packet except the last, the transceiver
-    off/on overhead; after the last packet, the sleep ramp. Each lump is
-    evaluated at the voltage at the start of its interval, and every
-    withdrawal lowers the voltage through the capacitor energy balance.
+    transmit power, with the transceiver off/on overhead between packets.
+    Each lump is evaluated at the voltage at the start of its interval, and
+    every withdrawal lowers the voltage through the capacitor energy balance.
 
     ``include_final_gap=False`` leaves the off/on overhead of the last gap
     (between packets N-1 and N) out of the budget, matching ledgers that
@@ -435,31 +453,16 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
     report's per-packet rows only when read.
     """
     plans = tuple(plans)
-    n = len(plans)
-    if n == 0:
+    if not plans:
         raise ValueError("plan must contain >= 1 packet")
     if brownout_v is not None:
         finite("brownout_v", brownout_v)
     drain = _Drain(initial.voltage, initial.capacitance)
     currents = _supply_currents(plans, profile, layout)
-    rows = []
-
-    wake_uj = wakeup_energy(profile, drain.voltage, plans[0].msdu_octets)
-    drain.withdraw(wake_uj * 1e-6, packet=1, segment="wake-up")
-
-    for j, (plan, current_ma) in enumerate(zip(plans, currents), 1):
-        totals = _frame_cascade(drain, layout, plan.msdu_octets, current_ma,
-                                plan.data_rate, packet=j)
-        gap_uj = 0.0
-        sleep_uj = 0.0
-        if j < n:
-            if include_final_gap or j < n - 1:
-                gap_uj = interpacket_overhead(profile, drain.voltage, current_ma)
-                drain.withdraw(gap_uj * 1e-6, packet=j, segment="inter-packet")
-        else:
-            sleep_uj = sleep_energy(profile, drain.voltage, current_ma)
-            drain.withdraw(sleep_uj * 1e-6, packet=j, segment="sleep")
-        rows.append((plan, current_ma, totals, gap_uj, sleep_uj))
+    rows = tuple(_frames(drain, plans, currents, profile, layout,
+                         0 if include_final_gap else len(plans)))
+    sleep_uj = sleep_energy(profile, drain.voltage, currents[-1])
+    drain.withdraw(sleep_uj * 1e-6, packet=len(plans), segment="sleep")
 
     # Every withdrawal is >= 0, so the final voltage is the lowest reached.
     if brownout_v is not None and drain.voltage < brownout_v:
@@ -471,7 +474,7 @@ def burst_energy(plans: Sequence[PacketPlan], initial: EscState,
     return BurstReport(
         total_energy_uj=drain.total_joules * 1e6,
         final_state=EscState(initial.capacitance, drain.voltage),
-        rows_=tuple(rows), w0_=drain._w0, c2_=drain._c2, wake_uj_=wake_uj,
+        rows_=rows, w0_=drain._w0, c2_=drain._c2, sleep_uj_=sleep_uj,
         layout_=layout, samples_=record_samples)
 
 
@@ -668,49 +671,47 @@ def _settle(tests: _Tests, v_cutoff: float, cap_n: int,
     return None
 
 
-def _walk(drain: _Drain, profile: DeviceProfile, msdu_octets: int,
-          current_ma: float, runs: tuple[tuple[int, float], ...]) -> _Tests:
+def _walk(drain: _Drain, profile: DeviceProfile, layout: FrameLayout,
+          template: PacketPlan, current_ma: float) -> _Tests:
     """The planner's tests on ``drain``, a full store, as zero-width
     brackets: for k = 1, 2, ..., (v, v) after the sleep ramp of the burst
     ending at packet k, or (-inf, -inf) when that burst, wake-up included,
     depletes the store. It ends after the first depleted burst.
 
-    It makes ``burst_energy``'s withdrawals with every gap counted, with
-    the same floats, and drains each packet once: the sleep ramp after
-    packet k's frame is withdrawn, tested and rewound, and the walk goes on
-    from the frame. The gapless test drains packet k again from the total
-    before its gap, and leaves the walk's own state alone.
+    It runs ``burst_energy``'s pass, ``_frames``, with every gap counted,
+    so it drains each packet once with the same floats. Each test withdraws
+    the sleep ramp from the frame's final total, reads the voltage and
+    rewinds. The gapless test drains packet k again from the previous
+    frame's final total, and leaves the walk's own state alone.
     """
-    (preamble_bits, preamble_charge), (body_bits, body_charge) = runs
-
-    def tested(start: float, lump: Callable | None) -> tuple[float, float]:
-        """Test the next packet from ``start``, after ``lump`` if any."""
-        drain.total_joules = start
+    def tested(start: float, frame: bool = False) -> tuple[float, float]:
+        """The test from total ``start``, after one more frame if ``frame``."""
+        walked, drain.total_joules = drain.total_joules, start
         try:
-            if lump is not None:
-                drain.withdraw(lump(drain.voltage) * 1e-6)
-            drain.drain_bits(preamble_bits, preamble_charge)
-            drain.drain_bits(body_bits, body_charge)
-            post_frame = drain.total_joules
+            if frame:
+                _frame_cascade(drain, layout, template.msdu_octets,
+                               current_ma, template.data_rate)
             drain.withdraw(sleep_energy(profile, drain.voltage, current_ma) * 1e-6)
+            v = drain.voltage
         except EscDepletedError:
-            return -math.inf, -math.inf
-        v = drain.voltage
-        drain.total_joules = post_frame
+            v = -math.inf
+        drain.total_joules = walked
         return v, v
 
-    gap = partial(interpacket_overhead, profile, supply_current_ma=current_ma)
-    # Packet 1 follows the wake-up, and a one-packet burst has no gap to skip.
-    lump = skipped = partial(wakeup_energy, profile, msdu_octets=msdu_octets)
-    pre_gap = drain.total_joules
-    k = 1
+    rows = _frames(drain, repeat(template), repeat(current_ma), profile,
+                   layout)
+    k, skipped = 1, None
     while True:
-        bracket = tested(pre_gap, lump)
-        post_frame = drain.total_joules
-        yield k, bracket, partial(tested, pre_gap, skipped)
-        if bracket[0] == -math.inf:
+        try:
+            end = next(rows)[3][-1]
+            test = tested(end)
+        except EscDepletedError:
+            test = (-math.inf, -math.inf)
+        # A one-packet burst has no gap to skip: its gapless test is its own.
+        yield k, test, skipped or partial(tuple, test)
+        if test[0] == -math.inf:
             return
-        pre_gap, lump, skipped, k = post_frame, gap, None, k + 1
+        k, skipped = k + 1, partial(tested, end, True)
 
 
 def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
@@ -745,8 +746,6 @@ def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
         return 0
     (current_ma,) = _supply_currents((template,), profile, layout)
     drain = _Drain(initial.voltage, initial.capacitance)
-    # MHR, MSDU and FCS share one charge per bit, so one run drains them
-    # with the floats of three.
     runs = _runs(layout, template.msdu_octets, template.data_rate, current_ma)
     frame_bits = layout.frame_bits(template.msdu_octets)
     if frame_bits > MAX_BURST_BITS:
@@ -758,8 +757,8 @@ def max_packets(initial: EscState, v_cutoff: float, template: PacketPlan,
                         current_ma, runs, v_cutoff, cap),
                 v_cutoff, cap, include_final_gap)
     if n is None:
-        n = _settle(_walk(drain, profile, template.msdu_octets, current_ma,
-                          runs), v_cutoff, cap, include_final_gap)
+        n = _settle(_walk(drain, profile, layout, template, current_ma),
+                    v_cutoff, cap, include_final_gap)
     if n == cap < cap_n:
         raise ValueError(
             f"cap_n {cap_n} lies beyond the planner's limit of "

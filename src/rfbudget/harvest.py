@@ -16,7 +16,7 @@ import math
 import sys
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .device import EscState, finite, record
 from .errors import FitError, UnreachableVoltageError
@@ -63,11 +63,14 @@ class OcvTable:
     """Measured open-circuit voltage versus incident RF power.
 
     Points must be strictly increasing in both coordinates, and the step
-    between neighbours must have a finite span and slope. Lookups
-    interpolate linearly in the (dBm, V) plane and clamp to the end values
-    outside the measured range; ``clamps`` reports whether a query falls
-    outside.
+    between neighbours must have a finite span and slope; ``points`` is
+    read-only. Lookups interpolate linearly in the (dBm, V) plane and clamp
+    to the end values outside the measured range; ``clamps`` reports
+    whether a query falls outside.
     """
+
+    __slots__ = ("_points",)
+    points = property(attrgetter("_points"), doc="The (dBm, V) points.")
 
     def __init__(self, points: Iterable[tuple[float, float]]):
         # Each step is checked as its point arrives, so an error raised
@@ -91,7 +94,7 @@ class OcvTable:
             pts.append((p1, v1))
         if not pts:
             raise ValueError("OCV table must contain at least one point")
-        self.points = tuple(pts)
+        self._points = tuple(pts)
 
     @classmethod
     def p2110(cls) -> "OcvTable":
@@ -165,6 +168,18 @@ def _r_through(t: float, v: float, v_oc: float, capacitance: float) -> float:
     return -t / denominator if denominator else math.inf
 
 
+def _residuals(ts, vs, capacitance: float, v_oc: float, r: float) -> list:
+    """Both charge fits' residuals: the charging curve less the trace."""
+    tau = r * capacitance
+    return [v_oc * -math.expm1(-t / tau) - v for t, v in zip(ts, vs)]
+
+
+def _r_column(ts, capacitance: float, v_oc: float, r: float) -> list:
+    """The derivatives of ``_residuals`` with respect to r_eq."""
+    tau = r * capacitance
+    return [v_oc * math.exp(u) * u / r for u in (-t / tau for t in ts)]
+
+
 def _seeded(r0: float, capacitance: float) -> float:
     """``r0`` when ``r0 * capacitance`` is a positive finite time constant."""
     tau = r0 * capacitance
@@ -226,19 +241,14 @@ def fit_charge_model(samples: Sequence[VoltageSample], capacitance: float) -> Ch
     if r0 is None or not math.isfinite(r0) or r0 <= 0:
         r0 = (max(ts) or 1.0) / capacitance
 
-    def residual(params):
-        v_oc, r = params
-        tau = r * capacitance
-        return [v_oc * -math.expm1(-t / tau) - v for t, v in zip(ts, vs)]
-
     def jacobian(params):
         v_oc, r = params
         tau = r * capacitance
-        us = [-t / tau for t in ts]
-        return [[-math.expm1(u) for u in us],
-                [v_oc * math.exp(u) * u / r for u in us]]
+        return [[-math.expm1(-t / tau) for t in ts],
+                _r_column(ts, capacitance, v_oc, r)]
 
-    v_oc, r_eq = least_squares(residual, jacobian,
+    v_oc, r_eq = least_squares(lambda p: _residuals(ts, vs, capacitance, *p),
+                               jacobian,
                                [v_oc0, _seeded(r0, capacitance)],
                                [1e-12, _r_floor(capacitance)],
                                what="charge-model")
@@ -276,17 +286,9 @@ def fit_r_known_voc(samples: Sequence[VoltageSample], capacitance: float,
     ts = [s.t for s in samples]
     vs = [s.v for s in samples]
 
-    def residual(params):
-        (r,) = params
-        tau = r * capacitance
-        return [v_oc * -math.expm1(-t / tau) - v for t, v in zip(ts, vs)]
-
-    def jacobian(params):
-        (r,) = params
-        tau = r * capacitance
-        return [[v_oc * math.exp(u) * u / r for u in (-t / tau for t in ts)]]
-
-    (r_eq,) = least_squares(residual, jacobian, [r0],
-                            [_r_floor(capacitance)], what="impedance")
+    (r_eq,) = least_squares(
+        lambda p: _residuals(ts, vs, capacitance, v_oc, *p),
+        lambda p: [_r_column(ts, capacitance, v_oc, *p)], [r0],
+        [_r_floor(capacitance)], what="impedance")
     return ChargeModel(v_oc=v_oc, r_eq=_off_floor(r_eq, capacitance),
                        capacitance=capacitance)

@@ -387,6 +387,27 @@ def test_burst_depletion_reports_location(sig_profile, layout):
     assert excinfo.value.segment is not None
 
 
+@pytest.mark.parametrize("sleep_time, capacitance, packet, segment", [
+    (0.45, 2e-6, 1, "wake-up"),
+    (0.45, 3e-5, 2, "inter-packet"),
+    (200.0, 1e-4, 3, "sleep"),
+])
+def test_burst_depletion_by_a_lump_names_it(layout, sleep_time, capacitance,
+                                            packet, segment):
+    # Three 20-octet packets from 2.5 V: the wake-up empties a 2 uF store,
+    # the gap after packet 2 a 30 uF one, and a 200 ms sleep ramp after
+    # the last packet a 100 uF one. A gap names the packet before it.
+    profile = DeviceProfile(alpha1=ALPHA1, alpha2=ALPHA2, alpha3=ALPHA3,
+                            alpha4=ALPHA4, sleep_time=sleep_time)
+    with pytest.raises(EscDepletedError) as excinfo:
+        burst_energy([PacketPlan(20, 0.0, 250e3)] * 3,
+                     EscState(capacitance, 2.5), profile, layout,
+                     brownout_v=None)
+    assert str(excinfo.value) == (f"energy store depleted by the {segment} "
+                                  f"withdrawal of packet {packet}")
+    assert (excinfo.value.packet, excinfo.value.segment) == (packet, segment)
+
+
 def test_burst_brownout_warning(sig_profile, layout):
     initial = EscState(capacitance=REF_CAP_F, voltage=REF_V0)
     with pytest.warns(BrownoutWarning):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rfbudget import (ChargeModel, EscState, FitError, OcvTable,
+from rfbudget import (ChargeModel, EscState, FitError, OcvTable, RunConfig,
                       UnreachableVoltageError, VoltageSample, charge_voltage,
                       fit_charge_model, fit_r_known_voc, prediction_error,
                       stored_energy, time_to_voltage)
@@ -312,6 +312,17 @@ def test_ocv_table_rejects_non_monotone():
         OcvTable([(-14.0, 0.4), (-14.0, 0.9)])
     with pytest.raises(ValueError):
         OcvTable([])
+
+
+def test_ocv_table_points_are_read_only():
+    # The default config's table is one shared instance: assigning its
+    # points would change every later default config, and would skip the
+    # checks that keep the points sorted.
+    table = RunConfig().ocv_table
+    with pytest.raises(AttributeError):
+        table.points = ((0.0, 1.0),)
+    assert RunConfig().ocv_table.points == OcvTable.p2110().points
+    assert table.voltage_at(-5.0) == 2.6
 
 
 @pytest.mark.parametrize("points", [

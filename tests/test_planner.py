@@ -379,7 +379,7 @@ def walk(initial, plan, profile, layout, drain=None):
     """``max_packets``' walk on ``drain``, by default a full store."""
     return rfbudget.burst._walk(
         drain or rfbudget.burst._Drain(initial.voltage, initial.capacitance),
-        profile, plan.msdu_octets, *supply(plan, profile, layout))
+        profile, layout, plan, supply(plan, profile, layout)[0])
 
 
 def walked(initial, cutoff, plan, profile, layout, cap_n, final_gap):
